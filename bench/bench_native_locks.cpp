@@ -204,7 +204,15 @@ void BM_RwMixed(benchmark::State& state)
     }
 }
 
-using SimpleRwNative = reactive::SimpleRwLock<NativePlatform>;
+/// SimpleRwLock built with the reactive lock's simple-slot backoff, so
+/// the static rows are tuned like the reactive one (QueueRwLock has no
+/// backoff to tune).
+struct SimpleRwNative : reactive::SimpleRwLock<NativePlatform> {
+    SimpleRwNative()
+        : SimpleRwLock(reactive::ReactiveRwLockParams{}.backoff)
+    {
+    }
+};
 using QueueRwNative = reactive::QueueRwLock<NativePlatform>;
 using ReactiveRwNative = reactive::ReactiveRwLock<NativePlatform>;
 

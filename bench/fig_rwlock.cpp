@@ -16,8 +16,15 @@
  * A second table runs the phase-shifting workload (read-mostly and
  * write-heavy regimes alternating), where neither static protocol can
  * win both phases.
+ *
+ * In-binary acceptance check (exit nonzero on failure): every reactive
+ * cell lies within 10% of the "ideal (best static)" cell of its
+ * column, and the reactive phase-shifting run within 10% of the better
+ * static run.
  */
+#include <algorithm>
 #include <iostream>
+#include <string>
 
 #include "apps/workloads.hpp"
 #include "bench_common.hpp"
@@ -49,6 +56,22 @@ std::uint32_t rw_iters(std::uint32_t procs, bool full)
     if (procs <= 16)
         return 200 * scale;
     return 100 * scale;
+}
+
+/// Allowed excess of a reactive figure over the best static one.
+constexpr double kTrackTolerance = 1.10;
+
+int g_failures = 0;
+
+/// Counts and reports a reactive figure above kTrackTolerance x best.
+void check_tracks(const std::string& cell, double reactive, double best)
+{
+    if (reactive <= kTrackTolerance * best)
+        return;
+    ++g_failures;
+    std::cout << "  CHECK FAIL [" << cell << "]: reactive="
+              << stats::fmt(reactive, 1) << " > 1.1 * best static = "
+              << stats::fmt(kTrackTolerance * best, 1) << "\n";
 }
 
 /// Cycles per operation for lock RW at one (reader fraction, procs).
@@ -98,12 +121,17 @@ int main(int argc, char** argv)
             t.row(cells);
         }
         std::vector<std::string> ideal{"ideal (best static)"};
-        for (std::size_t c = 0; c < rows[0].size(); ++c)
-            ideal.push_back(
-                stats::fmt(std::min(rows[0][c], rows[1][c]), 0));
+        const std::vector<std::uint32_t> procs = rw_procs(args.full);
+        for (std::size_t c = 0; c < rows[0].size(); ++c) {
+            const double best = std::min(rows[0][c], rows[1][c]);
+            ideal.push_back(stats::fmt(best, 0));
+            check_tracks(stats::fmt(permille / 10.0, 1) + "% reads, P=" +
+                             std::to_string(procs[c]),
+                         rows[2][c], best);
+        }
         t.row(ideal);
         t.note("reactive should track the lower envelope at both ends of");
-        t.note("the reader-fraction sweep (within ~10% of best static)");
+        t.note("the reader-fraction sweep (within 10% of best static)");
         t.print();
     }
 
@@ -113,24 +141,28 @@ int main(int argc, char** argv)
         t.header({"algorithm", "elapsed"});
         const std::uint32_t phases = args.full ? 8 : 4;
         const std::uint32_t ops = args.full ? 300 : 150;
-        t.row({"simple (centralized)",
-               stats::fmt(apps::run_rw_phases<SimpleRwSim>(16, phases, ops,
-                                                           args.seed) /
-                              1000.0,
-                          0)});
-        t.row({"queue (fair)",
-               stats::fmt(apps::run_rw_phases<QueueRwSim>(16, phases, ops,
-                                                          args.seed) /
-                              1000.0,
-                          0)});
-        t.row({"reactive",
-               stats::fmt(apps::run_rw_phases<ReactiveRwSim>(16, phases, ops,
-                                                             args.seed) /
-                              1000.0,
-                          0)});
+        const double simple =
+            apps::run_rw_phases<SimpleRwSim>(16, phases, ops, args.seed) /
+            1000.0;
+        const double queue =
+            apps::run_rw_phases<QueueRwSim>(16, phases, ops, args.seed) /
+            1000.0;
+        const double reactive =
+            apps::run_rw_phases<ReactiveRwSim>(16, phases, ops, args.seed) /
+            1000.0;
+        t.row({"simple (centralized)", stats::fmt(simple, 0)});
+        t.row({"queue (fair)", stats::fmt(queue, 0)});
+        t.row({"reactive", stats::fmt(reactive, 0)});
+        check_tracks("phase-shifting, P=16", reactive, std::min(simple, queue));
         t.note("the reactive lock re-converges each phase; neither static");
         t.note("protocol is right for both regimes");
         t.print();
     }
+    if (g_failures > 0) {
+        std::cout << g_failures << " rwlock tracking check(s) FAILED\n";
+        return 1;
+    }
+    std::cout << "rwlock tracking checks passed (reactive within 10% of "
+                 "best static in every cell)\n";
     return 0;
 }

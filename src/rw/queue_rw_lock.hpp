@@ -18,7 +18,12 @@
  * touched O(1) times per acquisition — it hands the lock from the last
  * leaving reader to the next writer — so the protocol keeps the queue
  * lock's O(1)-remote-references property that makes it win at high
- * contention.
+ * contention. The reader count and a writer-waiting flag share one
+ * word, so the decrement that empties the reader group and the claim
+ * of the writer waiting behind it are one atomic step: a late reader
+ * of an older group can never grant a writer queued behind a newer
+ * group that is still reading, and no claim compares node addresses,
+ * so a reused writer node cannot be claimed twice.
  *
  * Reactive extensions (unused in standalone operation):
  *  - the tail doubles as the protocol's consensus object, with a
@@ -167,16 +172,15 @@ class QueueRwLock {
                    nullptr)
                 P::pause();
             // A waiting writer behind us becomes the reader group's
-            // designated heir; the *last* leaving reader wakes it.
-            if (node.state.load(std::memory_order_acquire) & kSuccWriterBit)
+            // designated heir: publish it, then mark it waiting in the
+            // same step that drops our own reader unit.
+            if (node.state.load(std::memory_order_acquire) & kSuccWriterBit) {
                 next_writer_.store(succ, std::memory_order_seq_cst);
+                leave_group(/*hand_off=*/true);
+                return;
+            }
         }
-        if (reader_count_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-            Node* w = next_writer_.exchange(nullptr,
-                                            std::memory_order_seq_cst);
-            if (w != nullptr)
-                w->state.fetch_or(kGoBit, std::memory_order_release);
-        }
+        leave_group(/*hand_off=*/false);
     }
 
     /// Attempts an exclusive acquisition with @p node.
@@ -204,8 +208,8 @@ class QueueRwLock {
      * airtight: between it and the tail CAS a reader can win the
      * empty tail, a second reader can join it, and the joiner — now
      * the tail — can leave, clearing the tail while the first reader
-     * is still inside. The Dekker handshake with end_read
-     * (dekker_claim_empty) detects that residue, and the attempt then
+     * is still inside. The empty-tail handshake (claim_empty) detects
+     * that residue, and the attempt then
      * *retracts* the node (retract_or_commit_write) instead of
      * waiting out an application-controlled read-side critical
      * section, so the try blocks only in the narrow case where
@@ -225,7 +229,7 @@ class QueueRwLock {
                                            std::memory_order_acq_rel,
                                            std::memory_order_relaxed))
             return Outcome::kInvalid;
-        if (dekker_claim_empty(node))
+        if (claim_empty(node))
             return Outcome::kAcquiredEmpty;
         return retract_or_commit_write(node);
     }
@@ -284,9 +288,9 @@ class QueueRwLock {
      * Retires the queue protocol: swings the tail to INVALID and walks
      * the chain from @p head signalling INVALID to every node. Callers:
      * the queue's holding *writer* performing a protocol change (head =
-     * its own node; exclusivity guarantees reader_count == 0 and
-     * next_writer == nullptr, so no auxiliary state needs repair), or
-     * the internal bogus-chain cleanup.
+     * its own node; exclusivity guarantees that no reader is counted
+     * and no writer is marked waiting, so no auxiliary state needs
+     * repair), or the internal bogus-chain cleanup.
      */
     void invalidate(Node* head)
     {
@@ -311,7 +315,7 @@ class QueueRwLock {
 
     std::uint32_t reader_count() const
     {
-        return reader_count_.load(std::memory_order_relaxed);
+        return reader_count_.load(std::memory_order_relaxed) & ~kWriterWaiting;
     }
 
   private:
@@ -321,9 +325,41 @@ class QueueRwLock {
     /// deterministic simulator, so its branches are driven directly.
     friend struct QueueRwLockTestPeer;
 
+    /// Flag in the reader-count word: a writer is registered in
+    /// next_writer_ and the last leaving reader must grant it.
+    static constexpr std::uint32_t kWriterWaiting = 1u << 31;
+
     static Node* invalid_tail()
     {
         return reinterpret_cast<Node*>(static_cast<std::uintptr_t>(1));
+    }
+
+    /**
+     * Drops the calling reader's unit from the count word — and, for a
+     * reader handing off to the writer behind it (@p hand_off), sets
+     * kWriterWaiting — in one RMW. The step that leaves the word at
+     * exactly kWriterWaiting (no reader inside, a writer waiting) has
+     * claimed that writer: nothing else writes the word until the
+     * writer is granted, because the writer holds the queue and no
+     * reader can enter, so clearing it is a plain store.
+     */
+    void leave_group(bool hand_off)
+    {
+        std::uint32_t left;
+        if (hand_off) {
+            const std::uint32_t prev = reader_count_.fetch_add(
+                kWriterWaiting - 1, std::memory_order_seq_cst);
+            assert((prev & kWriterWaiting) == 0 &&
+                   "one writer waits behind a reader group at a time");
+            left = prev + kWriterWaiting - 1;
+        } else {
+            left = reader_count_.fetch_sub(1, std::memory_order_seq_cst) - 1;
+        }
+        if (left == kWriterWaiting) {
+            Node* w = next_writer_.load(std::memory_order_seq_cst);
+            reader_count_.store(0, std::memory_order_seq_cst);
+            w->state.fetch_or(kGoBit, std::memory_order_release);
+        }
     }
 
     /// A reader with reader predecessor @p pred atomically registers as
@@ -359,56 +395,62 @@ class QueueRwLock {
 
     /**
      * The empty-tail writer handshake: the queue is empty, but a
-     * departing reader group may still be draining. Hand ourselves
-     * over as the next writer and take the lock only if no reader is
-     * left to do the handoff. The store/load and the reader side's
-     * fetch_sub/exchange (end_read) are all seq_cst: a Dekker-style
-     * store-then-load handshake, so either we observe the readers or
-     * the last leaving reader observes our registration. True =
+     * departing reader group may still be draining (its readers are
+     * counted, no longer queued). Holding the tail, we keep any new
+     * reader out, so the count only falls: zero means the lock is
+     * ours. Otherwise register in next_writer_ and set kWriterWaiting
+     * in one RMW that also reads the count — either that RMW sees the
+     * group gone (we withdraw the flag and take the lock) or the last
+     * leaving reader sees the flag and grants us (leave_group). True =
      * self-granted; false = registered, and the grant (or a
      * retraction, for tries) is the caller's problem.
      */
-    bool dekker_claim_empty(Node& node)
+    bool claim_empty(Node& node)
     {
-        next_writer_.store(&node, std::memory_order_seq_cst);
-        if (reader_count_.load(std::memory_order_seq_cst) == 0 &&
-            next_writer_.exchange(nullptr, std::memory_order_seq_cst) ==
-                &node) {
-            node.state.fetch_or(kGoBit, std::memory_order_acq_rel);
-            return true;
+        if (reader_count_.load(std::memory_order_seq_cst) != 0) {
+            next_writer_.store(&node, std::memory_order_seq_cst);
+            if (reader_count_.fetch_or(kWriterWaiting,
+                                       std::memory_order_seq_cst) != 0)
+                return false;
+            reader_count_.store(0, std::memory_order_seq_cst);
         }
-        return false;
+        node.state.fetch_or(kGoBit, std::memory_order_acq_rel);
+        return true;
     }
 
     /**
-     * Unwinds try_start_write's failed Dekker handshake: a drained
-     * reader group is still inside, and a try must not wait out its
-     * application-controlled critical section. Withdrawal from
-     * next_writer_ must come first — once the last leaving reader has
-     * exchanged our node out of it, the GO signal is in flight and
-     * the node cannot be retired (a reuse of the node would race with
-     * the stale signal), so that case commits: the lock is ours as
-     * soon as the handoff lands. After a successful withdrawal the
-     * tail CAS can fail only because a successor enqueued behind us;
-     * a mid-queue node cannot leave an MCS-style queue, so that case
-     * re-registers and takes the normal handoff — blocking, but only
-     * when another thread has already blocked behind us anyway.
+     * Unwinds try_start_write's registration: a drained reader group
+     * is still inside, and a try must not wait out its
+     * application-controlled critical section. Withdrawal clears
+     * kWriterWaiting while readers are still counted; once the last
+     * leaving reader's decrement has left the word at kWriterWaiting
+     * (or already cleared it), it has claimed the node and the GO
+     * signal is in flight, so the node cannot be retired (a reuse of
+     * the node would race with the stale signal) and the attempt
+     * commits: the lock is ours as soon as the handoff lands. After a
+     * successful withdrawal the tail CAS can fail only because a
+     * successor enqueued behind us; a mid-queue node cannot leave an
+     * MCS-style queue, so that case redoes the empty-tail handshake —
+     * blocking, but only when another thread has already blocked
+     * behind us anyway.
      */
     Outcome retract_or_commit_write(Node& node)
     {
+        std::uint32_t seen = reader_count_.load(std::memory_order_seq_cst);
+        do {
+            if ((seen & kWriterWaiting) == 0 || seen == kWriterWaiting)
+                return wait_for_signal(node) ? Outcome::kAcquiredWaited
+                                             : Outcome::kInvalid;
+        } while (!reader_count_.compare_exchange_strong(
+            seen, seen & ~kWriterWaiting, std::memory_order_seq_cst,
+            std::memory_order_seq_cst));
         Node* expected = &node;
-        if (!next_writer_.compare_exchange_strong(expected, nullptr,
-                                                  std::memory_order_seq_cst,
-                                                  std::memory_order_seq_cst))
-            return wait_for_signal(node) ? Outcome::kAcquiredWaited
-                                         : Outcome::kInvalid;
-        expected = &node;
         if (tail_.compare_exchange_strong(expected, nullptr,
                                           std::memory_order_acq_rel,
                                           std::memory_order_relaxed))
             return Outcome::kInvalid;  // fully retracted: clean failed try
         // Committed by a successor: redo the empty-tail handshake.
-        if (dekker_claim_empty(node))
+        if (claim_empty(node))
             return Outcome::kAcquiredWaited;
         return wait_for_signal(node) ? Outcome::kAcquiredWaited
                                      : Outcome::kInvalid;
@@ -468,7 +510,7 @@ class QueueRwLock {
             return Outcome::kInvalid;
         }
         if (pred == nullptr) {
-            if (dekker_claim_empty(node))
+            if (claim_empty(node))
                 return Outcome::kAcquiredEmpty;
             return wait(node) ? Outcome::kAcquiredWaited : Outcome::kInvalid;
         }
@@ -500,8 +542,9 @@ class QueueRwLock {
         return (s & kGoBit) != 0;
     }
 
-    // Tail is the hot enqueue point; the reader-count and writer-handoff
-    // words are written on different paths — keep each on its own line.
+    // Tail is the hot enqueue point; the reader-count word (with the
+    // kWriterWaiting flag) and the writer-handoff pointer are written on
+    // different paths — keep each on its own line.
     alignas(kCacheLineSize) typename P::template Atomic<Node*> tail_{nullptr};
     alignas(kCacheLineSize)
         typename P::template Atomic<std::uint32_t> reader_count_{0};

@@ -27,12 +27,22 @@
  *    read acquisitions overlap.
  *  - **The mode variable is only a hint**: it routes the dispatcher and
  *    is usually read-cached; racing it is benign by the invariant above.
- *  - **Monitoring rides on waiting** (Section 3.2.6): the writer-side
- *    signals are the mutex path's signals verbatim — failed acquisition
- *    attempts in simple mode (fed to `Policy::on_tts_acquire`) and
- *    empty-queue acquisitions in queue mode (`Policy::on_queue_acquire`)
- *    — so all three switching policies of core/policy.hpp apply
- *    unchanged.
+ *  - **Monitoring rides on waiting** (Section 3.2.6), writer side
+ *    only. In simple mode a writer waits as a test-and-test&set: it
+ *    read-polls the word and issues its compare&swap only when the
+ *    word reads free, so it never RMWs a line readers hold. Each busy
+ *    poll falls in one of three classes: a *lost race* (read free, but
+ *    another writer's compare&swap got in first), a round behind a
+ *    *reader crowd* (at least `kReaderCrowd` = 2 readers, whose overlap
+ *    can hold the word indefinitely), and a plain *drain wait* (behind
+ *    a writer or a single reader, which frees the word on leaving; a
+ *    race lost to a reader is reader traffic of the same kind). More
+ *    than `write_retry_limit` lost races and crowd rounds in one
+ *    acquisition mark it contended (fed to `Policy::on_tts_acquire`);
+ *    drain waits are not counted, because reader occupancy alone is
+ *    not contention. In queue mode the signal is the mutex's:
+ *    empty-queue acquisitions (`Policy::on_queue_acquire`). So all
+ *    three switching policies of core/policy.hpp apply unchanged.
  *
  * The release token rides inside the Node, so ReactiveRwLock satisfies
  * the plain RwLock concept and is a drop-in replacement for either
@@ -75,7 +85,8 @@ namespace reactive {
 
 /// Tunables for the reactive rwlock's contention monitors.
 struct ReactiveRwLockParams {
-    /// Failed write-acquisition attempts within one acquisition that
+    /// Contended polls (races lost to another writer, rounds behind a
+    /// reader crowd) within one simple-mode write acquisition that
     /// mark it "contended" (the simple->queue signal).
     std::uint32_t write_retry_limit = 8;
     /// Backoff while spinning on the simple protocol.
@@ -215,8 +226,10 @@ class ReactiveRwLock {
     void lock_write(Node& n)
     {
         using Attempt = typename SimpleRwLock<P>::Attempt;
-        // Optimistic compare&swap on the simple word (Section 3.7.3).
-        // As in the reactive mutex, the fast path performs no
+        // Optimistic write attempt on the simple word (Section 3.7.3),
+        // read-polled first: a rwlock word is often held by readers,
+        // and a blind compare&swap would steal their line only to
+        // fail. As in the reactive mutex, the fast path performs no
         // monitoring: an uncontended win says nothing reliable and
         // would break streaks that spinning acquirers are building.
         // Fast-path-aware policies get the traffic-free won-here
@@ -224,7 +237,7 @@ class ReactiveRwLock {
         // increment is in-consensus). Reader fast paths never touch
         // policy state — readers hold no exclusivity.
         if (params_.optimistic_simple &&
-            simple_.try_lock_write() == Attempt::kAcquired) {
+            simple_.poll_write().attempt == Attempt::kAcquired) {
             if constexpr (FastPathAwareSelect<Select>)
                 select_.on_tts_fast_acquire();
             if constexpr (kSocketAware)
@@ -372,6 +385,13 @@ class ReactiveRwLock {
     static constexpr std::uint32_t kQueueIndex =
         static_cast<std::uint32_t>(Mode::kQueue);
 
+    /// Readers in the polled word that make a waiting writer's poll
+    /// count as contended (a reader crowd). Writer starvation on the
+    /// centralized word needs overlapping readers — behind a single
+    /// reader the word frees when it leaves — so polls behind fewer
+    /// readers are plain drain waits and are not counted.
+    static constexpr std::uint32_t kReaderCrowd = 2;
+
     /// Calibrating policies (core/cost_model.hpp) receive each
     /// slow-path *write* acquisition's measured latency and each
     /// switch's measured duration. Readers never feed the policy, so
@@ -457,10 +477,18 @@ class ReactiveRwLock {
         }
     }
 
-    /// Simple-protocol write acquisition: spin with backoff, count
-    /// failed attempts, and feed the policy on success (the caller then
-    /// holds full exclusivity, so policy state is safe to touch).
-    /// Parking instantiations run the attempt loop as the site
+    /// Simple-protocol write acquisition: a test-and-test&set
+    /// (SimpleRwLock::poll_write, which never RMWs a busy word). Each
+    /// busy poll is classified. A race lost to another writer and a
+    /// round behind a reader crowd (kReaderCrowd readers) are
+    /// write contention: they count toward the contended verdict.
+    /// Anything else is a plain drain wait and is not counted: behind
+    /// a single reader, about to leave, the writer re-polls its cached
+    /// copy at once and takes the word the moment it frees; behind a
+    /// writer, after a race lost to a reader, and behind a crowd it
+    /// backs off exponentially. The policy is fed on success (the
+    /// caller then holds full exclusivity, so policy state is safe to
+    /// touch). Parking instantiations run the attempt loop as the site
     /// predicate (abortable acquiring predicate, as in the reactive
     /// mutex's TTS slow path); the winner then reports its measured
     /// wake latency — it holds full exclusivity, so the single-writer
@@ -469,53 +497,48 @@ class ReactiveRwLock {
     {
         const std::uint64_t start = kCalibrating ? P::now() : 0;
         std::uint32_t retries = 0;
+        bool acquired = false;
+        bool draining = false;  // the last poll saw one reader inside
+        // One poll; true once it resolves (acquired or retired).
+        const auto poll = [&] {
+            const auto p = simple_.poll_write();
+            if (p.attempt != Attempt::kBusy) {
+                acquired = p.attempt == Attempt::kAcquired;
+                return true;
+            }
+            const bool crowd = p.readers >= kReaderCrowd;
+            if ((p.lost_race && p.writer) || crowd)
+                ++retries;
+            draining = !p.writer && !p.lost_race && !crowd;
+            return false;
+        };
+        ExpBackoff<P> backoff(params_.backoff);
+        const auto pace = [&] {
+            if (draining)
+                P::pause();
+            else
+                backoff.pause();
+        };
         if constexpr (kParking) {
-            // Same contended-line pacing as try_read_simple.
-            ExpBackoff<P> backoff(params_.backoff);
-            bool acquired = false;
-            bool retired = false;
             const AwaitResult wr = wsite_.await([&] {
-                switch (simple_.try_lock_write()) {
-                case Attempt::kAcquired:
-                    acquired = true;
-                    return true;
-                case Attempt::kInvalid:
-                    retired = true;
-                    return true;
-                case Attempt::kBusy:
-                    ++retries;
-                    break;
-                }
-                if (mode_.value.load(std::memory_order_relaxed) !=
-                    static_cast<std::uint32_t>(Mode::kSimple)) {
-                    retired = true;
-                    return true;
-                }
-                return false;
-            }, [&] { backoff.pause(); });
-            (void)retired;
+                return poll() ||
+                       mode_.value.load(std::memory_order_relaxed) !=
+                           static_cast<std::uint32_t>(Mode::kSimple);
+            }, pace);
             if (!acquired)
                 return std::nullopt;
             note_write_waited(wr);
-            return write_simple_acquired(retries, start);
         } else {
-            ExpBackoff<P> backoff(params_.backoff);
-            for (;;) {
-                switch (simple_.try_lock_write()) {
-                case Attempt::kAcquired:
-                    return write_simple_acquired(retries, start);
-                case Attempt::kInvalid:
-                    return std::nullopt;
-                case Attempt::kBusy:
-                    ++retries;
-                    break;
-                }
-                backoff.pause();
+            while (!poll()) {
+                pace();
                 if (mode_.value.load(std::memory_order_relaxed) !=
                     static_cast<std::uint32_t>(Mode::kSimple))
                     return std::nullopt;
             }
+            if (!acquired)
+                return std::nullopt;
         }
+        return write_simple_acquired(retries, start);
     }
 
     /// Bookkeeping common to every successful simple-protocol write

@@ -127,6 +127,35 @@ class SimpleRwLock {
         return (expected & kInvalidBit) ? Attempt::kInvalid : Attempt::kBusy;
     }
 
+    /// What one read-polled write attempt saw.
+    struct WritePoll {
+        Attempt attempt;
+        std::uint32_t readers = 0;  ///< readers in the busy word
+        bool writer = false;        ///< writer bit in the busy word
+        bool lost_race = false;     ///< read free, but the CAS lost
+    };
+
+    /// One test-and-test&set write attempt: read the word and issue
+    /// the compare&swap only when it reads free, so a writer waiting
+    /// behind readers never writes the line they share. A lost race
+    /// reports the word the compare&swap found (who got in first).
+    WritePoll poll_write()
+    {
+        std::uint32_t seen = word_.load(std::memory_order_relaxed);
+        bool lost_race = false;
+        if (seen == 0) {
+            if (word_.compare_exchange_strong(seen, kWriterBit,
+                                              std::memory_order_acquire,
+                                              std::memory_order_relaxed))
+                return {Attempt::kAcquired};
+            lost_race = true;
+        }
+        if (seen & kInvalidBit)
+            return {Attempt::kInvalid};
+        return {Attempt::kBusy, seen / kReaderUnit,
+                (seen & kWriterBit) != 0, lost_race};
+    }
+
     void unlock_read()
     {
         word_.fetch_sub(kReaderUnit, std::memory_order_release);

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/policy.hpp"
@@ -28,35 +29,34 @@ namespace reactive {
  * decisive interleavings happen *inside* one try_start_write call and
  * are therefore unreachable from any sequence of complete public calls
  * on the deterministic simulator. The peer installs the exact
- * post-Dekker-failure state each branch is defined for and drives the
+ * post-handshake state each branch is defined for and drives the
  * helper directly.
  */
 struct QueueRwLockTestPeer {
     template <typename L>
     using Node = typename L::Node;
 
-    /// State after try_start_write won the empty tail and stored
-    /// next_writer_, but the Dekker check saw @p readers inside.
+    /// State after try_start_write won the empty tail and registered
+    /// as the waiting writer, with @p readers still inside.
     template <typename L>
-    static void install_dekker_failure(L& lock, Node<L>& w,
-                                       std::uint32_t readers)
+    static void install_registered_writer(L& lock, Node<L>& w,
+                                          std::uint32_t readers)
     {
         w.kind = L::Kind::kWriter;
         w.next.store(nullptr, std::memory_order_relaxed);
         w.state.store(0, std::memory_order_relaxed);
         lock.tail_.store(&w, std::memory_order_relaxed);
         lock.next_writer_.store(&w, std::memory_order_relaxed);
-        lock.reader_count_.store(readers, std::memory_order_relaxed);
+        lock.reader_count_.store(readers | L::kWriterWaiting,
+                                 std::memory_order_relaxed);
     }
 
-    /// What end_read's last-leaving reader does when it claims the
-    /// registered writer: empties next_writer_ and signals GO.
+    /// The last reader leaving (end_read's count drop, without the
+    /// queue-node half): claims and grants a waiting writer.
     template <typename L>
-    static void claim_as_reader(L& lock, Node<L>& w)
+    static void leave_as_reader(L& lock)
     {
-        lock.reader_count_.store(0, std::memory_order_relaxed);
-        lock.next_writer_.store(nullptr, std::memory_order_relaxed);
-        w.state.fetch_or(L::kGoBit, std::memory_order_release);
+        lock.leave_group(/*hand_off=*/false);
     }
 
     /// What a competing writer's tail exchange does: moves the tail to
@@ -68,7 +68,6 @@ struct QueueRwLockTestPeer {
         s.next.store(nullptr, std::memory_order_relaxed);
         s.state.store(0, std::memory_order_relaxed);
         lock.tail_.store(&s, std::memory_order_relaxed);
-        lock.reader_count_.store(0, std::memory_order_relaxed);
     }
 
     template <typename L>
@@ -84,9 +83,10 @@ struct QueueRwLockTestPeer {
     }
 
     template <typename L>
-    static Node<L>* next_writer(L& lock)
+    static bool writer_waiting(L& lock)
     {
-        return lock.next_writer_.load(std::memory_order_relaxed);
+        return (lock.reader_count_.load(std::memory_order_relaxed) &
+                L::kWriterWaiting) != 0;
     }
 };
 
@@ -477,7 +477,7 @@ TEST(QueueRwTryTest, TryWriteFailsFastWithDrainedReaderGroupInside)
 // drained-group dance (the state where the tail is empty but a reader
 // hold is open for kReadHold cycles) at many seeds. Every try must
 // complete in a bounded handful of memory operations; any variant of
-// try_start_write that can reach the Dekker handshake and then *wait*
+// try_start_write that can reach the empty-tail handshake and then *wait*
 // (instead of retracting) pays ~kReadHold the moment the handshake
 // sees the reader and fails the bound.
 TEST(QueueRwTryTest, TryWriteNeverWaitsOutReaderCriticalSections)
@@ -532,34 +532,39 @@ TEST(QueueRwTryTest, TryWriteNeverWaitsOutReaderCriticalSections)
 // interleavings happen inside one try_start_write call and cannot be
 // reproduced by complete public calls; see QueueRwLockTestPeer).
 
-// Branch 1: the Dekker check saw a drained reader group still inside
-// and nothing else intervened — the node fully retracts (tail and
-// next_writer_ restored) and the try fails clean.
+// Branch 1: the handshake saw a drained reader group still inside and
+// nothing else intervened — the node fully retracts (tail restored,
+// writer-waiting flag withdrawn) and the try fails clean.
 TEST(QueueRwTryTest, RetractUnwindsTailAndWriterRegistration)
 {
     using L = QueueRwLock<NativePlatform>;
     using Peer = QueueRwLockTestPeer;
     L lock;
     typename L::Node w;
-    Peer::install_dekker_failure(lock, w, /*readers=*/1);
+    Peer::install_registered_writer(lock, w, /*readers=*/1);
     EXPECT_EQ(Peer::retract_or_commit_write(lock, w), L::Outcome::kInvalid);
     EXPECT_EQ(Peer::tail(lock), nullptr);
-    EXPECT_EQ(Peer::next_writer(lock), nullptr);
-    // The retracted node was not granted and is clean for reuse.
+    EXPECT_FALSE(Peer::writer_waiting(lock));
+    EXPECT_EQ(lock.reader_count(), 1u);
+    // The retracted node was not granted and is clean for reuse; the
+    // reader still inside leaves without granting anyone.
+    EXPECT_EQ(w.state.load(), 0u);
+    Peer::leave_as_reader(lock);
     EXPECT_EQ(w.state.load(), 0u);
 }
 
-// Branch 2: the last leaving reader exchanged the node out of
-// next_writer_ before the retraction — the GO signal is in flight, so
-// the attempt commits and owns the lock.
+// Branch 2: the last leaving reader claimed the node before the
+// retraction — the GO signal is in flight, so the attempt commits and
+// owns the lock.
 TEST(QueueRwTryTest, RetractCommitsWhenReaderAlreadyClaimedTheNode)
 {
     using L = QueueRwLock<NativePlatform>;
     using Peer = QueueRwLockTestPeer;
     L lock;
     typename L::Node w;
-    Peer::install_dekker_failure(lock, w, /*readers=*/1);
-    Peer::claim_as_reader(lock, w);
+    Peer::install_registered_writer(lock, w, /*readers=*/1);
+    Peer::leave_as_reader(lock);
+    EXPECT_FALSE(Peer::writer_waiting(lock));
     EXPECT_EQ(Peer::retract_or_commit_write(lock, w),
               L::Outcome::kAcquiredWaited);
     lock.end_write(w);
@@ -570,19 +575,27 @@ TEST(QueueRwTryTest, RetractCommitsWhenReaderAlreadyClaimedTheNode)
 }
 
 // Branch 3: a successor enqueued behind the node, so the tail cannot be
-// retracted — the attempt re-registers, takes the handoff, and the
-// normal release chain still reaches the successor.
+// retracted — the attempt redoes the empty-tail handshake and takes the
+// handoff once the reader inside leaves, and the normal release chain
+// still reaches the successor. The reader leaves from another thread
+// at an arbitrary point of the attempt; every interleaving must end
+// with the node granted exactly once.
 TEST(QueueRwTryTest, RetractCommitsWhenSuccessorMakesItImpossible)
 {
     using L = QueueRwLock<NativePlatform>;
     using Peer = QueueRwLockTestPeer;
     L lock;
     typename L::Node w, s;
-    Peer::install_dekker_failure(lock, w, /*readers=*/1);
-    Peer::enqueue_successor(lock, s);  // reader group drained meanwhile
-    EXPECT_EQ(Peer::retract_or_commit_write(lock, w),
-              L::Outcome::kAcquiredWaited);
+    Peer::install_registered_writer(lock, w, /*readers=*/1);
+    Peer::enqueue_successor(lock, s);
+    auto out = L::Outcome::kInvalid;
+    std::thread attempt([&] { out = Peer::retract_or_commit_write(lock, w); });
+    Peer::leave_as_reader(lock);
+    attempt.join();
+    EXPECT_EQ(out, L::Outcome::kAcquiredWaited);
     EXPECT_NE(w.state.load() & L::kGoBit, 0u);
+    EXPECT_EQ(lock.reader_count(), 0u);
+    EXPECT_FALSE(Peer::writer_waiting(lock));
     w.next.store(&s);  // the successor finishes linking in
     lock.end_write(w);
     EXPECT_NE(s.state.load() & L::kGoBit, 0u);  // handoff reached it
@@ -652,6 +665,79 @@ TEST(QueueRwTryTest, TryWriteStormKeepsExclusionOnNativeThreads)
     EXPECT_FALSE(violation.load());
     EXPECT_EQ(a, static_cast<long>(kIters) + try_wins.load());
     EXPECT_EQ(b, a);
+}
+
+// ---- queue rwlock: reader-group handoff under preemption --------------
+
+/**
+ * Read-delay-read overlap check on an oversubscribed, preempting
+ * machine: 3 processors, 4 threads (processor 0 runs two), quantum 200
+ * cycles, each thread alternating phases of 95% and 25% reads. A
+ * reader that is descheduled between dropping the last reader unit of
+ * its group and claiming the writer behind it must not grant a writer
+ * queued behind a *newer* reader group; a torn read (the two halves of
+ * a writer's update seen apart) shows it did. Returns the torn reads.
+ */
+template <typename RW>
+long preempted_rw_torn_reads(std::uint64_t seed)
+{
+    sim::CostModel costs = sim::CostModel::alewife();
+    costs.preempt_quantum = 200;
+    sim::Machine m(3, costs, seed);
+    auto lock = std::make_shared<RW>();
+    struct Shared {
+        long a = 0, b = 0, torn = 0;
+    };
+    auto sh = std::make_shared<Shared>();
+    for (std::uint32_t t = 0; t < 4; ++t) {
+        m.spawn(t % 3, [=] {
+            for (std::uint32_t ph = 0; ph < 4; ++ph) {
+                const std::uint32_t permille = ph % 2 == 0 ? 950 : 250;
+                for (std::uint32_t i = 0; i < 40; ++i) {
+                    typename RW::Node n;
+                    if (sim::random_below(1000) < permille) {
+                        lock->lock_read(n);
+                        const long a = sh->a;
+                        sim::delay(20 + sim::random_below(40));
+                        if (a != sh->b)
+                            ++sh->torn;
+                        lock->unlock_read(n);
+                    } else {
+                        lock->lock_write(n);
+                        const long v = sh->a + 1;
+                        sh->a = v;
+                        sim::delay(20 + sim::random_below(40));
+                        sh->b = v;
+                        lock->unlock_write(n);
+                    }
+                    sim::delay(sim::random_below(300));
+                }
+            }
+        });
+    }
+    m.run();
+    return sh->torn;
+}
+
+template <typename RW>
+class PreemptedRwTest : public ::testing::Test {};
+
+using PreemptedRwTypes =
+    ::testing::Types<QueueRwLock<SimPlatform>, ReactiveRwLock<SimPlatform>>;
+TYPED_TEST_SUITE(PreemptedRwTest, PreemptedRwTypes);
+
+// Regression for end_read's two-step handoff (decrement to zero, then
+// claim next_writer_ in a separate exchange): each seed below tore a
+// read on that code, with the standalone queue lock (546-907) or the
+// reactive lock (23-825). The decrement and the claim are now one RMW
+// on the count word, so none may tear.
+TYPED_TEST(PreemptedRwTest, LateReaderNeverGrantsAWriterOfANewerGroup)
+{
+    for (std::uint64_t seed :
+         {23, 38, 519, 546, 584, 588, 694, 718, 762, 815, 825, 907}) {
+        EXPECT_EQ(preempted_rw_torn_reads<TypeParam>(seed), 0)
+            << "seed " << seed;
+    }
 }
 
 // ---- reactive rwlock: protocol-switch correctness ---------------------
@@ -803,6 +889,141 @@ TEST(ReactiveRwSwitchTest, ReadersActiveDuringSwitchRetryCorrectly)
         // Every writer release switched: the storm really happened.
         EXPECT_EQ(lock->protocol_changes(), 2u * 25u) << "seed " << seed;
     }
+}
+
+// A closed-loop read-mostly stream with no think time on three
+// processors (the shape of a small shared cache: short lookups, rare
+// invalidations, every client always inside or arriving). Writers wait
+// behind at most two readers, and the word frees whenever they drain,
+// so reader occupancy must not read as contention: every acquisition
+// stays in the simple protocol.
+TEST(ReactiveRwSelectionTest, ClosedLoopReadMostlyStaysSimple)
+{
+    using L = ReactiveRwLock<SimPlatform, AlwaysSwitchPolicy>;
+    using RM = L::ReleaseMode;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        auto lock = std::make_shared<L>();
+        auto simple = std::make_shared<long>(0);
+        auto total = std::make_shared<long>(0);
+        sim::Machine m(3, sim::CostModel::alewife(), seed);
+        for (std::uint32_t p = 0; p < 3; ++p) {
+            m.spawn(p, [=] {
+                for (std::uint32_t i = 0; i < 600; ++i) {
+                    typename L::Node n;
+                    const bool read = sim::random_below(1000) < 950;
+                    if (read)
+                        lock->lock_read(n);
+                    else
+                        lock->lock_write(n);
+                    *simple += n.rm == RM::kSimple || n.rm == RM::kSimpleToQueue;
+                    ++*total;
+                    sim::delay(30 + sim::random_below(30));
+                    if (read)
+                        lock->unlock_read(n);
+                    else
+                        lock->unlock_write(n);
+                }
+            });
+        }
+        m.run();
+        EXPECT_EQ(*total, 3 * 600) << "seed " << seed;
+        EXPECT_GE(*simple * 100, *total * 98) << "seed " << seed;
+        EXPECT_EQ(lock->protocol_changes(), 0u) << "seed " << seed;
+    }
+}
+
+/// SimPlatform whose atomics count every read-modify-write they issue
+/// (exchange, compare&swap, fetch_add/sub/or), for white-box traffic
+/// checks.
+struct RmwCountingSimPlatform : SimPlatform {
+    static inline std::uint64_t rmws = 0;
+
+    template <typename T>
+    struct Atomic : sim::Atomic<T> {
+        using Base = sim::Atomic<T>;
+        using Base::Base;
+        T exchange(T v, std::memory_order mo = std::memory_order_seq_cst)
+        {
+            ++rmws;
+            return Base::exchange(v, mo);
+        }
+        bool compare_exchange_strong(
+            T& expected, T desired,
+            std::memory_order s = std::memory_order_seq_cst,
+            std::memory_order f = std::memory_order_seq_cst)
+        {
+            ++rmws;
+            return Base::compare_exchange_strong(expected, desired, s, f);
+        }
+        bool compare_exchange_weak(
+            T& expected, T desired,
+            std::memory_order s = std::memory_order_seq_cst,
+            std::memory_order f = std::memory_order_seq_cst)
+        {
+            ++rmws;
+            return Base::compare_exchange_weak(expected, desired, s, f);
+        }
+        T fetch_add(T v, std::memory_order mo = std::memory_order_seq_cst)
+            requires std::is_integral_v<T>
+        {
+            ++rmws;
+            return Base::fetch_add(v, mo);
+        }
+        T fetch_sub(T v, std::memory_order mo = std::memory_order_seq_cst)
+            requires std::is_integral_v<T>
+        {
+            ++rmws;
+            return Base::fetch_sub(v, mo);
+        }
+        T fetch_or(T v, std::memory_order mo = std::memory_order_seq_cst)
+            requires std::is_integral_v<T>
+        {
+            ++rmws;
+            return Base::fetch_or(v, mo);
+        }
+    };
+};
+static_assert(Platform<RmwCountingSimPlatform>);
+
+// A writer waiting in simple mode behind a reader read-polls the word:
+// between its arrival and the reader's release it issues no RMW at all
+// (a compare&swap on a busy word would steal the readers' line only to
+// fail). Once the reader leaves, the writer gets in.
+TEST(ReactiveRwSelectionTest, WriterPollingAReaderHeldWordIssuesNoRmw)
+{
+    using P = RmwCountingSimPlatform;
+    using L = ReactiveRwLock<P, AlwaysSwitchPolicy>;
+    constexpr std::uint64_t kReadHold = 20000;
+    auto lock = std::make_shared<L>();
+    auto rmws_while_waiting = std::make_shared<std::uint64_t>(~0ull);
+    auto writer_in = std::make_shared<bool>(false);
+    sim::Machine m(3, sim::CostModel::alewife(), 1);
+    m.spawn(0, [=] {
+        typename L::Node n;
+        lock->lock_read(n);
+        sim::delay(kReadHold);
+        EXPECT_FALSE(*writer_in);
+        lock->unlock_read(n);
+    });
+    m.spawn(1, [=] {
+        sim::delay(500);
+        typename L::Node n;
+        lock->lock_write(n);
+        *writer_in = true;
+        lock->unlock_write(n);
+    });
+    m.spawn(2, [=] {
+        // Sample the RMW count over a window in which the writer is
+        // already polling and the reader is still inside.
+        sim::delay(2000);
+        const std::uint64_t before = P::rmws;
+        sim::delay(kReadHold - 4000);
+        *rmws_while_waiting = P::rmws - before;
+    });
+    m.run();
+    EXPECT_EQ(*rmws_while_waiting, 0u);
+    EXPECT_TRUE(*writer_in);
+    EXPECT_EQ(lock->mode(), L::Mode::kSimple);
 }
 
 }  // namespace

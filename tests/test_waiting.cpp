@@ -668,7 +668,11 @@ TEST(WaitAxisSimTest, RwLockParkingMaintainsExclusionAndParks)
                     rw->lock_write(n);
                     if (++*writers_in != 1 || *readers_in != 0)
                         ++*violations;
-                    sim::delay(150);
+                    // Outlasts the simulated thread unload (300 cycles),
+                    // so a waiter parked behind the writer really
+                    // blocks; a shorter hold ends before the unload
+                    // does and the park is elided.
+                    sim::delay(400);
                     --*writers_in;
                     rw->unlock_write(n);
                 } else {
