@@ -4,9 +4,13 @@
  * latencies of every lock and fetch-and-op implementation on real
  * std::atomic hardware — the native analogue of the P=1 column of the
  * baseline figures, and the numbers a downstream adopter of the library
- * cares about first.
+ * cares about first. The `sim/step` rows price the simulator itself:
+ * host time per simulated memory op when every op is a scheduling
+ * step.
  */
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "bench_common.hpp"
 #include "core/reactive_fetch_op.hpp"
@@ -26,6 +30,8 @@
 #include "rw/queue_rw_lock.hpp"
 #include "rw/reactive_rw_lock.hpp"
 #include "rw/simple_rw_lock.hpp"
+#include "sim/machine.hpp"
+#include "sim/memory.hpp"
 #include "waiting/sync/barrier.hpp"
 #include "waiting/sync/future.hpp"
 #include "waiting/sync/waiting_mutex.hpp"
@@ -298,6 +304,50 @@ void BM_BarrierSolo(benchmark::State& state)
         bar.arrive(node);
 }
 BENCHMARK(BM_BarrierSolo)->Name("waiting/barrier_single_participant");
+
+// ---- simulator ----------------------------------------------------------
+
+/// Host cost of one simulated scheduling step: P processors each spin
+/// load() + pause() on one shared line, so nearly every charge crosses
+/// the next processor's clock and reschedules. Timed over Machine::run()
+/// only (construction and spawn are set-up); `ns_per_memop` is the
+/// layer's number.
+void BM_SimStep(benchmark::State& state)
+{
+    namespace sim = reactive::sim;
+    const auto procs = static_cast<std::uint32_t>(state.range(0));
+    constexpr int kSpins = 2000;
+    std::uint64_t memops = 0;
+    double run_s = 0;
+    for (auto _ : state) {
+        sim::Machine m(procs);
+        sim::Atomic<std::uint32_t> word(0);
+        for (std::uint32_t p = 0; p < procs; ++p) {
+            m.spawn(p, [&word] {
+                for (int i = 0; i < kSpins; ++i) {
+                    benchmark::DoNotOptimize(word.load());
+                    sim::pause();
+                }
+            });
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        m.run();
+        const std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        state.SetIterationTime(dt.count());
+        run_s += dt.count();
+        memops += m.stats().mem_ops;
+    }
+    state.counters["ns_per_memop"] =
+        memops != 0 ? run_s * 1e9 / static_cast<double>(memops) : 0.0;
+}
+BENCHMARK(BM_SimStep)
+    ->Name("sim/step")
+    ->ArgName("P")
+    ->Arg(2)
+    ->Arg(16)
+    ->Arg(64)
+    ->UseManualTime();
 
 }  // namespace
 

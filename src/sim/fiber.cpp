@@ -19,7 +19,6 @@ thread_local void* t_sched_sp = nullptr;
 #else
 thread_local ucontext_t t_sched_ctx;
 #endif
-thread_local Fiber* t_current = nullptr;
 
 std::size_t page_size()
 {
@@ -75,8 +74,10 @@ extern "C" {
 void reactive_fiber_switch(void** save_sp, void* load_sp);
 void reactive_fiber_boot();  // never called directly; entered via ret
 
-/// First frame of every fiber; never returns.
-void reactive_fiber_entry(Fiber* self)
+/// First frame of every fiber; never returns. Referenced only from the
+/// boot stub's asm, so `used` keeps link-time optimization from
+/// discarding it.
+__attribute__((used)) void reactive_fiber_entry(Fiber* self)
 {
     fiber_entry_trampoline(self);
     __builtin_unreachable();
@@ -136,27 +137,31 @@ Fiber::~Fiber()
         munmap(stack_base_, map_bytes_);
 }
 
-Fiber* Fiber::current()
-{
-    return t_current;
-}
-
 #if defined(__x86_64__)
 
 void Fiber::resume()
 {
     assert(!done_ && "resuming a finished fiber");
-    assert(t_current == nullptr && "nested fiber resume");
-    t_current = this;
+    assert(current_ == nullptr && "nested fiber resume");
+    current_ = this;
     reactive_fiber_switch(&t_sched_sp, sp_);
-    t_current = nullptr;
+    current_ = nullptr;
 }
 
 void Fiber::yield_current()
 {
-    Fiber* self = t_current;
+    Fiber* self = current_;
     assert(self != nullptr && "yield outside any fiber");
     reactive_fiber_switch(&self->sp_, t_sched_sp);
+}
+
+void Fiber::switch_to(Fiber& next)
+{
+    Fiber* self = current_;
+    assert(self != nullptr && "switch_to outside any fiber");
+    assert(&next != self && !next.done_);
+    current_ = &next;
+    reactive_fiber_switch(&self->sp_, next.sp_);
 }
 
 #else  // ucontext fallback
@@ -170,32 +175,46 @@ void ucontext_entry(unsigned hi, unsigned lo)
 }
 }  // namespace
 
+void Fiber::start_context()
+{
+    if (started_)
+        return;
+    started_ = true;
+    getcontext(&ctx_);
+    ctx_.uc_stack.ss_sp = static_cast<char*>(stack_base_) + page_size();
+    ctx_.uc_stack.ss_size = map_bytes_ - page_size();
+    ctx_.uc_link = nullptr;
+    auto ptr = reinterpret_cast<std::uintptr_t>(this);
+    makecontext(&ctx_, reinterpret_cast<void (*)()>(&ucontext_entry), 2,
+                static_cast<unsigned>(ptr >> 32),
+                static_cast<unsigned>(ptr & 0xffffffffu));
+}
+
 void Fiber::resume()
 {
     assert(!done_ && "resuming a finished fiber");
-    assert(t_current == nullptr && "nested fiber resume");
-    t_current = this;
-    if (!started_) {
-        started_ = true;
-        getcontext(&ctx_);
-        ctx_.uc_stack.ss_sp =
-            static_cast<char*>(stack_base_) + page_size();
-        ctx_.uc_stack.ss_size = map_bytes_ - page_size();
-        ctx_.uc_link = nullptr;
-        auto ptr = reinterpret_cast<std::uintptr_t>(this);
-        makecontext(&ctx_, reinterpret_cast<void (*)()>(&ucontext_entry), 2,
-                    static_cast<unsigned>(ptr >> 32),
-                    static_cast<unsigned>(ptr & 0xffffffffu));
-    }
+    assert(current_ == nullptr && "nested fiber resume");
+    current_ = this;
+    start_context();
     swapcontext(&t_sched_ctx, &ctx_);
-    t_current = nullptr;
+    current_ = nullptr;
 }
 
 void Fiber::yield_current()
 {
-    Fiber* self = t_current;
+    Fiber* self = current_;
     assert(self != nullptr && "yield outside any fiber");
     swapcontext(&self->ctx_, &t_sched_ctx);
+}
+
+void Fiber::switch_to(Fiber& next)
+{
+    Fiber* self = current_;
+    assert(self != nullptr && "switch_to outside any fiber");
+    assert(&next != self && !next.done_);
+    current_ = &next;
+    next.start_context();
+    swapcontext(&self->ctx_, &next.ctx_);
 }
 
 #endif

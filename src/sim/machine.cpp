@@ -9,54 +9,6 @@
 namespace reactive::sim {
 
 namespace {
-thread_local Machine* t_machine = nullptr;
-}
-
-Machine* current_machine()
-{
-    return t_machine;
-}
-
-std::uint32_t current_cpu()
-{
-    assert(t_machine != nullptr);
-    return t_machine->cur_proc_;
-}
-
-void pause()
-{
-    Machine* m = t_machine;
-    assert(m != nullptr);
-    // Seeded jitter: real machines never spin in perfect lockstep, but a
-    // discrete-cost simulation does, and two processors polling the same
-    // word with identical periods can starve each other forever.
-    m->charge(m->costs().pause_cycles + random_below(3));
-}
-
-void delay(std::uint64_t cycles)
-{
-    Machine* m = t_machine;
-    assert(m != nullptr);
-    m->charge(cycles);
-}
-
-std::uint64_t now()
-{
-    Machine* m = t_machine;
-    assert(m != nullptr);
-    return m->cycles(current_cpu());
-}
-
-std::uint32_t random_below(std::uint32_t bound)
-{
-    Machine* m = t_machine;
-    assert(m != nullptr);
-    if (SimThread* t = m->running_thread())
-        return t->rng_.below(bound);
-    return m->machine_rng_.below(bound);
-}
-
-namespace {
 std::atomic<std::uint64_t> g_machine_epoch{1};
 }  // namespace
 
@@ -81,7 +33,6 @@ Machine::Machine(std::uint32_t nprocs, Topology topo, CostModel costs,
                             ? topo.cores_per_socket
                             : (nprocs + sockets_ - 1) / sockets_;
     pos_.resize(nprocs);
-    key_.resize(nprocs, kNever);
 }
 
 Machine::~Machine() = default;
@@ -123,87 +74,87 @@ std::uint64_t Machine::next_event(const Proc& p) const
 }
 
 // ---- indexed binary min-heap over processors ------------------------
+//
+// Entries are heap_key(next_event, proc): the processor index in the
+// low bits makes every key distinct, so one u64 compare gives the
+// (clock, proc) total order with no tie-break branch.
 
 void Machine::heap_build()
 {
     heap_.clear();
     for (std::uint32_t i = 0; i < procs_.size(); ++i) {
-        key_[i] = next_event(procs_[i]);
+        heap_.push_back(heap_key(next_event(procs_[i]), i));
         pos_[i] = i;
-        heap_.push_back(i);
     }
-    if (heap_.size() > 1) {
-        for (std::uint32_t i = static_cast<std::uint32_t>(heap_.size()) / 2;
-             i-- > 0;)
-            heap_sift(heap_[i]);
-    }
+    for (std::size_t i = heap_.size() / 2; i-- > 0;)
+        heap_sift(i);
 }
 
-void Machine::heap_sift(std::uint32_t pi)
+void Machine::heap_sift(std::size_t i)
 {
-    std::size_t i = pos_[pi];
-    const std::uint64_t k = key_[pi];
-    // sift up
+    const std::uint64_t k = heap_[i];
+    const std::size_t n = heap_.size();
     while (i > 0) {
-        std::size_t parent = (i - 1) / 2;
-        std::uint32_t pp = heap_[parent];
-        if (key_[pp] < k || (key_[pp] == k && pp < pi))
+        const std::size_t parent = (i - 1) / 2;
+        if (heap_[parent] < k)
             break;
-        heap_[i] = pp;
-        pos_[pp] = static_cast<std::uint32_t>(i);
+        heap_[i] = heap_[parent];
+        pos_[key_proc(heap_[i])] = static_cast<std::uint32_t>(i);
         i = parent;
     }
-    heap_[i] = pi;
-    pos_[pi] = static_cast<std::uint32_t>(i);
-    // sift down
     for (;;) {
         std::size_t child = 2 * i + 1;
-        if (child >= heap_.size())
+        if (child >= n)
             break;
-        std::size_t right = child + 1;
-        if (right < heap_.size()) {
-            std::uint32_t cl = heap_[child], cr = heap_[right];
-            if (key_[cr] < key_[cl] || (key_[cr] == key_[cl] && cr < cl))
-                child = right;
+        std::uint64_t ck = heap_[child];
+        if (child + 1 < n) {
+            // Branch-free pick of the smaller child: which one wins is
+            // data-dependent and mispredicts half the time.
+            const std::uint64_t rk = heap_[child + 1];
+            const bool right = rk < ck;
+            child += right;
+            ck = right ? rk : ck;
         }
-        std::uint32_t c = heap_[child];
-        if (k < key_[c] || (k == key_[c] && pi < c))
+        if (k < ck)
             break;
-        heap_[i] = c;
-        pos_[c] = static_cast<std::uint32_t>(i);
+        heap_[i] = ck;
+        pos_[key_proc(ck)] = static_cast<std::uint32_t>(i);
         i = child;
-        heap_[i] = pi;
-        pos_[pi] = static_cast<std::uint32_t>(i);
     }
+    heap_[i] = k;
+    pos_[key_proc(k)] = static_cast<std::uint32_t>(i);
 }
 
 void Machine::heap_touch(std::uint32_t pi)
 {
-    const std::uint64_t k = next_event(procs_[pi]);
-    if (k == key_[pi])
+    const std::uint64_t when = next_event(procs_[pi]);
+    const std::uint64_t k = heap_key(when, pi);
+    const std::uint32_t i = pos_[pi];
+    if (heap_[i] == k)
         return;
-    key_[pi] = k;
-    heap_sift(pi);
-    if (pi != cur_proc_ && k < run_until_)
-        run_until_ = k;
+    heap_[i] = k;
+    heap_sift(i);
+    if (pi != cur_proc_ && when < run_until_)
+        run_until_ = when;
 }
 
 std::uint64_t Machine::heap_second_min() const
 {
     std::uint64_t s = kNever;
     if (heap_.size() > 1)
-        s = key_[heap_[1]];
+        s = heap_[1];
     if (heap_.size() > 2)
-        s = std::min(s, key_[heap_[2]]);
-    return s;
+        s = std::min(s, heap_[2]);
+    s >>= kProcBits;
+    return s == kIdleClock ? kNever : s;
 }
 
 // ---- scheduling ------------------------------------------------------
 
 void Machine::run()
 {
-    Machine* outer = t_machine;
-    t_machine = this;
+    Machine* outer = detail::t_machine;
+    detail::t_machine = this;
     in_run_ = true;
     heap_build();
 
@@ -211,12 +162,11 @@ void Machine::run()
     std::uint64_t steps = 0;
 #endif
     while (live_threads_ > 0) {
-        const std::uint32_t pi = heap_[0];
 #ifdef REACTIVE_SIM_TRACE
         if (++steps % (1u << 22) == 0) {
             std::fprintf(stderr, "[sim] step %llu pick p%u key %llu live %llu:",
-                         (unsigned long long)steps, pi,
-                         (unsigned long long)key_[pi],
+                         (unsigned long long)steps, key_proc(heap_[0]),
+                         (unsigned long long)(heap_[0] >> kProcBits),
                          (unsigned long long)live_threads_);
             for (std::size_t i = 0; i < procs_.size(); ++i)
                 std::fprintf(stderr, " c%zu=%llu(ctx%zu,r%zu,m%zu)", i,
@@ -226,28 +176,42 @@ void Machine::run()
             std::fprintf(stderr, "\n");
         }
 #endif
-        if (key_[pi] == kNever) {
+        if ((heap_[0] >> kProcBits) == kIdleClock) {
             in_run_ = false;
-            t_machine = outer;
+            detail::t_machine = outer;
             throw std::runtime_error(
                 "reactive::sim::Machine deadlock: live threads but no "
                 "runnable processor (lost wakeup?)");
         }
-        step(pi);
-        heap_touch(pi);
+        step();
+        heap_touch(cur_proc_);
     }
 
     in_run_ = false;
-    t_machine = outer;
+    detail::t_machine = outer;
 }
 
-void Machine::step(std::uint32_t pi)
+SimThread* Machine::dispatch(bool on_fiber)
 {
-    cur_proc_ = pi;
+    const std::uint32_t pi = key_proc(heap_[0]);
     Proc& p = procs_[pi];
 
+    if (on_fiber) {
+        // Work a fiber may not do: deliver a due message, load a ready
+        // thread, arm a quantum (the checks mirror the code below).
+        if (p.contexts.empty() ||
+            (!p.msgs.empty() && p.msgs.top().arrival <= p.clock))
+            return nullptr;
+        if (!p.ready.empty() &&
+            (p.contexts.size() >= costs_.hardware_contexts
+                 ? costs_.preempt_quantum != 0
+                 : p.ready.front()->ready_at_ <= p.clock))
+            return nullptr;
+    }
+
+    cur_proc_ = pi;
     // The running processor may advance until the next other-processor
-    // event or its own next message arrival without a scheduler bounce.
+    // event or its own next message arrival without rescheduling.
     run_until_ = heap_second_min();
     if (!p.msgs.empty())
         run_until_ = std::min(run_until_, p.msgs.top().arrival);
@@ -285,29 +249,30 @@ void Machine::step(std::uint32_t pi)
     }
 
     if (p.contexts.empty())
-        return;  // nothing runnable yet (future message/ready time)
+        return nullptr;  // nothing runnable yet (future message/ready time)
 
     // Preemptive quantum (oversubscription): when unloaded runnable
     // threads are queued behind a full set of hardware contexts, bound
     // how long the resident thread may run before the "OS" forcibly
     // deschedules it. With preempt_quantum == 0 (default) no deadline
     // exists and this whole block is inert — run_until_ and the
-    // post-resume dispatch below are bit-identical to the cooperative
-    // scheduler.
-    p.cur %= p.contexts.size();
-    std::uint64_t preempt_at = kNever;
+    // post-resume dispatch in step() are bit-identical to the
+    // cooperative scheduler.
+    if (p.cur >= p.contexts.size())
+        p.cur %= p.contexts.size();
+    preempt_at_ = kNever;
     if (costs_.preempt_quantum != 0 && !p.ready.empty() &&
         p.contexts.size() >= costs_.hardware_contexts) {
         // The deadline belongs to the resident thread, not to this
         // step: it is set once when the thread starts running against
-        // a non-empty ready queue and survives scheduler bounces, so
-        // the quantum measures accumulated run time.
+        // a non-empty ready queue and survives reschedules, so the
+        // quantum measures accumulated run time.
         if (p.quantum_owner != p.contexts[p.cur]) {
             p.quantum_owner = p.contexts[p.cur];
             p.quantum_deadline = p.clock + costs_.preempt_quantum;
         }
-        preempt_at = p.quantum_deadline;
-        run_until_ = std::min(run_until_, preempt_at);
+        preempt_at_ = p.quantum_deadline;
+        run_until_ = std::min(run_until_, preempt_at_);
     } else {
         p.quantum_owner = nullptr;
     }
@@ -315,8 +280,23 @@ void Machine::step(std::uint32_t pi)
     SimThread* t = p.contexts[p.cur];
     t->state_ = SimThread::State::kRunning;
     running_ = t;
+    return t;
+}
+
+void Machine::step()
+{
+    SimThread* t = dispatch(false);
+    if (t == nullptr)
+        return;
     t->fiber_.resume();
+
+    // Fibers may have handed off to one another since: what came back
+    // is whatever running_/cur_proc_ now name, not the thread resumed.
+    t = running_;
     running_ = nullptr;
+    if (t == nullptr)
+        return;  // it already requeued itself (reschedule)
+    Proc& p = procs_[cur_proc_];
 
     if (t->fiber_.done()) {
         finish_thread(p, t);
@@ -329,7 +309,7 @@ void Machine::step(std::uint32_t pi)
             p.cur = 0;
     } else if (t->state_ == SimThread::State::kRunning) {
         t->state_ = SimThread::State::kReady;
-        if (preempt_at != kNever && p.clock >= preempt_at &&
+        if (preempt_at_ != kNever && p.clock >= preempt_at_ &&
             !p.ready.empty()) {
             // Quantum expired with runnable threads still waiting for a
             // context: pay the unload and requeue behind them. The
@@ -352,6 +332,25 @@ void Machine::step(std::uint32_t pi)
     }
 }
 
+void Machine::reschedule()
+{
+    SimThread* self = running_;
+    assert(self != nullptr && self->state_ == SimThread::State::kRunning);
+    if (preempt_at_ == kNever) {
+        // The bookkeeping step() would do after a yield, done in place.
+        self->state_ = SimThread::State::kReady;
+        heap_touch(cur_proc_);
+        SimThread* next = dispatch(true);
+        if (next == self)
+            return;
+        if (next != nullptr) {
+            Fiber::switch_to(next->fiber_);
+            return;
+        }
+        running_ = nullptr;  // requeued: step() has nothing left to do
+    }
+    Fiber::yield_current();
+}
 void Machine::deliver_messages(Proc& p)
 {
     while (!p.msgs.empty() && p.msgs.top().arrival <= p.clock) {
@@ -387,14 +386,6 @@ std::uint64_t Machine::elapsed() const
 
 // ---- runtime services ------------------------------------------------
 
-void Machine::charge(std::uint64_t cycles)
-{
-    Proc& p = procs_[cur_proc_];
-    p.clock += cycles;
-    if (p.clock > run_until_ && Fiber::current() != nullptr)
-        Fiber::yield_current();
-}
-
 void Machine::send(std::uint32_t dst, std::function<void()> handler)
 {
     send_delayed(dst, 0, std::move(handler));
@@ -426,7 +417,7 @@ void Machine::context_switch()
     ++stats_.context_switches;
     charge(costs_.context_switch);
     p.cur = (p.cur + 1) % p.contexts.size();
-    Fiber::yield_current();
+    reschedule();
 }
 
 void Machine::block_current()

@@ -18,9 +18,33 @@
  * Section 3.1.3), LimitLESS directory overflow beyond 5 hardware
  * pointers, ~500-cycle blocking split per Table 4.1, 4 hardware contexts
  * with a 14-cycle context switch (Section 4.1).
+ *
+ * Scheduling. Each processor holds the key `(clock, proc)`, packed into
+ * one u64 as `(clock << 8) | proc` (kMaxProcs = 256 fits the low 8
+ * bits), in an indexed min-heap. The invariant every simulated number
+ * rests on: simulated code runs only while its processor holds the
+ * smallest key, or has charged up to, but not past, the next other
+ * event time (`run_until_`). A charge that stays within `run_until_`
+ * keeps running in place. One that crosses it calls `reschedule()`:
+ * the running fiber requeues its own processor, picks the next one
+ * through the same pick-and-prepare routine the scheduler loop uses,
+ * and switches straight to that processor's fiber (`Fiber::switch_to`).
+ * Control goes back to the scheduler's stack only for work that must
+ * run there:
+ *  - delivering due messages (handlers run with no current fiber, so
+ *    their charges never yield);
+ *  - loading threads from a ready queue into hardware contexts;
+ *  - an armed preemption quantum;
+ *  - a blocked or finished thread;
+ *  - the deadlock throw.
+ * Every step therefore runs the same simulated code at the same cycle
+ * as a scheduler that bounces through its own stack at every event;
+ * only the host cost of a step changes.
  */
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -168,23 +192,35 @@ struct MachineStats {
 
 class Machine;
 
+namespace detail {
+/// The machine whose run() is active on this host thread.
+inline thread_local Machine* t_machine = nullptr;
+}  // namespace detail
+
+// The runtime services below sit on the hot path of every simulated
+// memory op; they are defined inline after Machine so a charge that
+// stays in place costs no out-of-line call.
+
 /// Machine running the current fiber/handler, or nullptr outside a sim.
-Machine* current_machine();
+inline Machine* current_machine()
+{
+    return detail::t_machine;
+}
 
 /// Processor executing the current fiber or message handler.
-std::uint32_t current_cpu();
+inline std::uint32_t current_cpu();
 
 /// Charges one poll interval to the running processor.
-void pause();
+inline void pause();
 
 /// Charges @p cycles of local computation to the running processor.
-void delay(std::uint64_t cycles);
+inline void delay(std::uint64_t cycles);
 
 /// The running processor's cycle clock.
-std::uint64_t now();
+inline std::uint64_t now();
 
 /// Per-thread deterministic uniform draw in [0, bound).
-std::uint32_t random_below(std::uint32_t bound);
+inline std::uint32_t random_below(std::uint32_t bound);
 
 /**
  * Derives a well-distributed child seed from an experiment seed and a
@@ -339,7 +375,7 @@ class Machine {
     // ---- runtime services (called from simulated code) --------------
 
     /// Adds @p cycles to the running processor; may switch fibers.
-    void charge(std::uint64_t cycles);
+    inline void charge(std::uint64_t cycles);
 
     /// Sends an atomic-handler message to processor @p dst.
     void send(std::uint32_t dst, std::function<void()> handler);
@@ -397,15 +433,48 @@ class Machine {
     /// Earliest cycle at which processor @p p can do useful work.
     std::uint64_t next_event(const Proc& p) const;
 
-    /// Runs one scheduling step on processor @p pi.
-    void step(std::uint32_t pi);
+    /// Runs one scheduling step, on the scheduler stack, on the
+    /// processor at the top of the heap.
+    void step();
+
+    /**
+     * The pick-and-prepare routine shared by step() and reschedule():
+     * makes the processor at the top of the heap current, sets
+     * run_until_ and the preemption deadline, and marks the thread it
+     * should run as running. On the scheduler stack it first delivers
+     * due messages and loads ready threads; from a fiber
+     * (@p on_fiber) it returns nullptr instead, touching nothing, when
+     * the pick needs that work or would arm a quantum. Also nullptr
+     * when the processor has nothing runnable yet.
+     */
+    SimThread* dispatch(bool on_fiber);
+
+    /// Gives up the processor from inside a fiber: the charge crossed
+    /// run_until_, or the thread switched contexts. Hands off directly
+    /// to the next fiber when it can, else returns to the scheduler.
+    void reschedule();
 
     void deliver_messages(Proc& p);
     void finish_thread(Proc& p, SimThread* t);
 
-    // ---- indexed min-heap of processors keyed by next_event ---------
+    // ---- indexed min-heap of processors, packed (clock, proc) keys ---
+    static constexpr std::uint32_t kProcBits = 8;
+    static_assert(kMaxProcs <= (1u << kProcBits));
+    /// Clock of a processor with no event: the largest packable one.
+    static constexpr std::uint64_t kIdleClock = kNever >> kProcBits;
+
+    static std::uint64_t heap_key(std::uint64_t when, std::uint32_t pi)
+    {
+        assert(when == kNever || when < kIdleClock);
+        return (std::min(when, kIdleClock) << kProcBits) | pi;
+    }
+    static std::uint32_t key_proc(std::uint64_t key)
+    {
+        return static_cast<std::uint32_t>(key & ((1u << kProcBits) - 1));
+    }
+
     void heap_build();
-    void heap_sift(std::uint32_t pi);
+    void heap_sift(std::size_t i);
     void heap_touch(std::uint32_t pi);
     std::uint64_t heap_second_min() const;
 
@@ -421,18 +490,66 @@ class Machine {
     std::uint64_t epoch_ = 0;
     std::uint64_t live_threads_ = 0;
     std::uint64_t run_until_ = 0;   ///< current proc may run up to here
+    std::uint64_t preempt_at_ = kNever;  ///< running thread's armed quantum
     std::uint32_t cur_proc_ = 0;
     SimThread* running_ = nullptr;
     bool in_run_ = false;
 
-    std::vector<std::uint32_t> heap_;  ///< proc indices, min-heap by key
+    std::vector<std::uint64_t> heap_;  ///< heap_key(next_event, proc), min-heap
     std::vector<std::uint32_t> pos_;   ///< proc -> heap slot
-    std::vector<std::uint64_t> key_;   ///< cached next_event per proc
 
-    friend Machine* current_machine();
     friend std::uint32_t current_cpu();
     friend std::uint32_t random_below(std::uint32_t bound);
     friend class SimWaitQueue;
 };
+
+// ---- hot-path runtime services ---------------------------------------
+
+inline void Machine::charge(std::uint64_t cycles)
+{
+    Proc& p = procs_[cur_proc_];
+    p.clock += cycles;
+    if (p.clock > run_until_ && Fiber::current() != nullptr)
+        reschedule();
+}
+
+inline std::uint32_t current_cpu()
+{
+    assert(detail::t_machine != nullptr);
+    return detail::t_machine->cur_proc_;
+}
+
+inline std::uint32_t random_below(std::uint32_t bound)
+{
+    Machine* m = detail::t_machine;
+    assert(m != nullptr);
+    if (SimThread* t = m->running_thread())
+        return t->rng_.below(bound);
+    return m->machine_rng_.below(bound);
+}
+
+inline void pause()
+{
+    Machine* m = detail::t_machine;
+    assert(m != nullptr);
+    // Seeded jitter: real machines never spin in perfect lockstep, but a
+    // discrete-cost simulation does, and two processors polling the same
+    // word with identical periods can starve each other forever.
+    m->charge(m->costs().pause_cycles + random_below(3));
+}
+
+inline void delay(std::uint64_t cycles)
+{
+    Machine* m = detail::t_machine;
+    assert(m != nullptr);
+    m->charge(cycles);
+}
+
+inline std::uint64_t now()
+{
+    Machine* m = detail::t_machine;
+    assert(m != nullptr);
+    return m->cycles(current_cpu());
+}
 
 }  // namespace reactive::sim

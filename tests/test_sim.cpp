@@ -56,6 +56,45 @@ TEST(FiberTest, ManyFibersInterleave)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 10, 11, 12, 13}));
 }
 
+TEST(FiberTest, SwitchToHandsControlDirectly)
+{
+    // a starts b, b hands back to a, a yields to the scheduler; each
+    // resume then continues the fiber where it last gave up control.
+    std::vector<int> order;
+    std::vector<Fiber*> seen;
+    std::unique_ptr<Fiber> a, b;
+    a = std::make_unique<Fiber>([&] {
+        order.push_back(1);
+        seen.push_back(Fiber::current());
+        Fiber::switch_to(*b);  // b has not started yet
+        order.push_back(3);
+        seen.push_back(Fiber::current());
+        Fiber::yield_current();
+        order.push_back(6);
+        seen.push_back(Fiber::current());
+    });
+    b = std::make_unique<Fiber>([&] {
+        order.push_back(2);
+        seen.push_back(Fiber::current());
+        Fiber::switch_to(*a);
+        order.push_back(5);
+        seen.push_back(Fiber::current());
+    });
+    EXPECT_EQ(Fiber::current(), nullptr);
+    a->resume();  // returns when a yields, after the a -> b -> a handoff
+    order.push_back(4);
+    seen.push_back(Fiber::current());
+    b->resume();  // b continues after its switch_to and finishes
+    EXPECT_TRUE(b->done());
+    EXPECT_FALSE(a->done());
+    a->resume();
+    EXPECT_TRUE(a->done());
+    EXPECT_EQ(Fiber::current(), nullptr);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+    EXPECT_EQ(seen, (std::vector<Fiber*>{a.get(), b.get(), a.get(), nullptr,
+                                         b.get(), a.get()}));
+}
+
 TEST(FiberTest, DeepStackUse)
 {
     // Exercise a good chunk of the stack below the guard page.
@@ -594,6 +633,242 @@ TEST(SimPlatformTest, AtomicOutsideSimIsDirect)
     EXPECT_TRUE(a.compare_exchange_strong(expected, 8));
     EXPECT_EQ(a.fetch_add(2), 8);
     EXPECT_EQ(a.load(), 10);
+}
+
+// ---- pinned schedules -------------------------------------------------
+//
+// Golden fingerprints of small fixed-seed kernels: the simulated end
+// time, every MachineStats counter and a hash of the order in which
+// simulated events happened. The numbers are pinned, not compared
+// between two runs of one build, so any change to which simulated code
+// runs when (scheduler, fiber switching, heap order) shows here even
+// when every run of the new build agrees with itself.
+
+/// Host-side order log: simulated code runs on one host thread, so a
+/// plain hash of (event, actor) pairs records the interleaving.
+struct OrderHash {
+    std::uint64_t h = 14695981039346656037ull;
+    void mix(std::uint64_t v)
+    {
+        h ^= v;
+        h *= 1099511628211ull;
+    }
+};
+
+using Fingerprint = std::vector<std::uint64_t>;
+
+Fingerprint fingerprint(const Machine& m, const OrderHash& order)
+{
+    const MachineStats& s = m.stats();
+    return {m.elapsed(),
+            s.mem_ops,
+            s.remote_misses,
+            s.cross_socket_transfers,
+            s.cross_socket_invalidations,
+            s.invalidations,
+            s.dir_overflows,
+            s.messages,
+            s.handlers,
+            s.context_switches,
+            s.blocks,
+            s.wakes,
+            s.threads_spawned,
+            s.preemptions,
+            order.h};
+}
+
+TEST(PinnedScheduleTest, SingleContextSpinnersOnSharedLine)
+{
+    constexpr std::uint32_t kProcs = 6;
+    Machine m(kProcs, CostModel::alewife(), 11);
+    OrderHash order;
+    Atomic<std::uint32_t> turn(0), hits(0);
+    for (std::uint32_t p = 0; p < kProcs; ++p) {
+        m.spawn(p, [&, p] {
+            for (std::uint32_t r = 0; r < 4; ++r) {
+                order.mix(hits.fetch_add(1) * 16 + p);
+                while (turn.load() != r * kProcs + p)
+                    pause();
+                order.mix(now());
+                turn.fetch_add(1);
+            }
+        });
+    }
+    m.run();
+    EXPECT_EQ(fingerprint(m, order),
+              (Fingerprint{6705, 1021, 125, 0, 0, 123, 17, 0, 0, 0, 0, 0, 6, 0, 9844310603781354045ull}));
+}
+
+TEST(PinnedScheduleTest, FourContextsSwitchSpinning)
+{
+    Machine m(2, CostModel::multithreaded(4), 12);
+    OrderHash order;
+    Atomic<std::uint32_t> counter(0), done(0);
+    for (std::uint32_t t = 0; t < 8; ++t) {
+        m.spawn(t % 2, [&, t] {
+            for (int i = 0; i < 5; ++i) {
+                order.mix(counter.fetch_add(1) * 16 + t);
+                m.context_switch();
+                delay(random_below(20));
+            }
+            done.fetch_add(1);
+            while (done.load() != 8)
+                m.context_switch();
+            order.mix(now() * 16 + t);
+        });
+    }
+    m.run();
+    EXPECT_EQ(fingerprint(m, order),
+              (Fingerprint{2907, 64, 48, 0, 0, 45, 0, 0, 0, 48, 0, 0, 8, 0, 12642584201098359621ull}));
+}
+
+TEST(PinnedScheduleTest, MessagesDelayedAndSelfSends)
+{
+    Machine m(3, CostModel::alewife(), 13);
+    OrderHash order;
+    Atomic<std::uint32_t> replies(0), shared(0);
+    m.spawn(0, [&] {
+        for (std::uint32_t i = 0; i < 4; ++i) {
+            m.send(1, [&, i] {
+                order.mix(100 + i);
+                (void)shared.load();
+                m.send(0, [&] { replies.fetch_add(1); });
+            });
+            m.send_delayed(2, 50 * i, [&, i] {
+                order.mix(200 + i);
+                shared.fetch_add(1);
+                m.send(0, [&] { replies.fetch_add(1); });
+            });
+            m.send(0, [&, i] {
+                order.mix(300 + i);
+                replies.fetch_add(1);
+            });
+            delay(random_below(40));
+        }
+        while (replies.load() != 12)
+            pause();
+        order.mix(now());
+    });
+    for (std::uint32_t p = 1; p < 3; ++p) {
+        m.spawn(p, [&, p] {
+            for (int i = 0; i < 12; ++i) {
+                order.mix(shared.load() * 16 + p);
+                delay(30 + random_below(10));
+            }
+        });
+    }
+    m.run();
+    EXPECT_EQ(fingerprint(m, order),
+              (Fingerprint{1043, 62, 7, 0, 0, 4, 0, 20, 20, 0, 0, 0, 3, 0, 17655818952627707709ull}));
+}
+
+TEST(PinnedScheduleTest, WaitQueueBlockAndNotify)
+{
+    Machine m(3, CostModel::alewife(), 14);
+    OrderHash order;
+    SimWaitQueue q;
+    Atomic<std::uint32_t> data(0);
+    m.spawn(0, [&] {
+        for (int i = 0; i < 6; ++i) {
+            delay(400 + random_below(100));
+            data.fetch_add(1);
+            if (i % 2 == 0)
+                q.notify_all();
+            else
+                q.notify_one();
+        }
+        // A notify_one may leave one consumer asleep; wake everyone.
+        q.notify_all();
+    });
+    for (std::uint32_t p = 1; p < 3; ++p) {
+        m.spawn(p, [&, p] {
+            std::uint32_t last = 0;
+            while (last < 6) {
+                const std::uint32_t e = q.prepare_wait();
+                const std::uint32_t v = data.load();
+                if (v != last) {
+                    q.cancel_wait();
+                    last = v;
+                    order.mix(now() * 16 + p);
+                    continue;
+                }
+                q.commit_wait(e);
+            }
+        });
+    }
+    m.run();
+    EXPECT_EQ(fingerprint(m, order),
+              (Fingerprint{3938, 30, 15, 0, 0, 12, 0, 0, 0, 0, 9, 9, 3, 0, 119678475964475559ull}));
+}
+
+TEST(PinnedScheduleTest, PreemptQuantumOversubscription)
+{
+    CostModel c = CostModel::alewife();
+    c.preempt_quantum = 300;
+    Machine m(2, c, 15);
+    OrderHash order;
+    Atomic<std::uint32_t> turn(0);
+    constexpr std::uint32_t kThreads = 6;
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+        m.spawn(t % 2, [&, t] {
+            for (std::uint32_t r = 0; r < 3; ++r) {
+                while (turn.load() != r * kThreads + t)
+                    pause();
+                order.mix(now() * 16 + t);
+                turn.fetch_add(1);
+            }
+        });
+    }
+    m.run();
+    EXPECT_EQ(fingerprint(m, order),
+              (Fingerprint{4493, 375, 19, 0, 0, 18, 0, 0, 0, 0, 0, 0, 6, 12, 9125566486314080266ull}));
+}
+
+TEST(PinnedScheduleTest, SpawnFromRunningFiber)
+{
+    Machine m(3, CostModel::alewife(), 16);
+    OrderHash order;
+    Atomic<std::uint32_t> sum(0);
+    m.spawn(0, [&] {
+        for (std::uint32_t i = 0; i < 4; ++i) {
+            m.spawn(1 + i % 2, [&, i] {
+                for (int j = 0; j < 5; ++j) {
+                    order.mix(sum.fetch_add(1) * 16 + i);
+                    delay(random_below(50));
+                }
+            });
+            delay(10 + random_below(10));
+        }
+    });
+    m.spawn(2, [&] {
+        for (int j = 0; j < 10; ++j) {
+            order.mix(sum.load() * 16 + 9);
+            pause();
+        }
+    });
+    m.run();
+    EXPECT_EQ(fingerprint(m, order),
+              (Fingerprint{1421, 30, 13, 0, 0, 12, 0, 0, 0, 0, 0, 0, 6, 0, 12039334626094955387ull}));
+}
+
+TEST(PinnedScheduleTest, TwoSocketTopology)
+{
+    constexpr std::uint32_t kProcs = 8;
+    Machine m(kProcs, Topology{2, 0}, CostModel::alewife(), 17);
+    OrderHash order;
+    Atomic<std::uint32_t> counter(0), line(0);
+    for (std::uint32_t p = 0; p < kProcs; ++p) {
+        m.spawn(p, [&, p] {
+            for (int i = 0; i < 10; ++i) {
+                order.mix(counter.fetch_add(1) * 16 + p);
+                line.store(line.load() + 1);
+                delay(random_below(40));
+            }
+        });
+    }
+    m.run();
+    EXPECT_EQ(fingerprint(m, order),
+              (Fingerprint{11319, 240, 236, 73, 99, 234, 0, 0, 0, 0, 0, 0, 8, 0, 1397543986349415957ull}));
 }
 
 }  // namespace
