@@ -55,16 +55,15 @@
  * `ProtocolSignal` — drift +1 (bunched arrivals, or a contended
  * counter RMW on the bottom rung: the current protocol is
  * under-provisioned), drift -1 (straggler-dominated: over-provisioned)
- * — and asks the policy for `next_protocol`. Binary `SwitchPolicy`
- * policies embed through `SelectAdapter` with their historical
- * observation mapping (a central-mode episode feeds
- * `on_tts_acquire(bunched)`, a top-rung episode feeds
- * `on_queue_acquire(skewed)`), so AlwaysSwitch, Competitive3 and
- * Hysteresis apply to the two-protocol set bit-compatibly, with an
- * episode as the unit of observation. N-protocol sets take a
- * `SelectPolicy` (e.g. CalibratedLadderPolicy, whose measured
- * per-rung episode costs rank protocols the drift signal alone
- * cannot).
+ * — and asks the policy for `next_protocol` through the shared
+ * ConsensusMonitor (core/consensus_monitor.hpp). The thesis'
+ * two-protocol policies (AlwaysSwitch, Competitive3, Hysteresis) apply
+ * to the two-protocol set with an episode as the unit of observation
+ * (a central-mode episode plays the TTS role, a top-rung episode the
+ * queue role). N-protocol sets take an N-ary `SelectPolicy` (e.g.
+ * CalibratedLadderPolicy, whose measured per-rung episode costs rank
+ * protocols the drift signal alone cannot); a two-protocol policy over
+ * a larger set is rejected at compile time.
  *
  * Calibration (core/cost_model.hpp): with `ReactiveBarrierParams::
  * calibrate` the bunched/contended classification thresholds are
@@ -82,17 +81,15 @@
 #include <tuple>
 #include <type_traits>
 
-#include "audit/audit.hpp"
 #include "barrier/barrier_concepts.hpp"
 #include "barrier/central_barrier.hpp"
 #include "barrier/combining_tree_barrier.hpp"
-#include "core/cost_model.hpp"
+#include "core/consensus_monitor.hpp"
 #include "core/policy.hpp"
 #include "core/protocol_set.hpp"
 #include "platform/cache_line.hpp"
 #include "platform/platform_concept.hpp"
 #include "platform/thread_slots.hpp"
-#include "trace/instrument.hpp"
 #include "waiting/reactive/wait_site.hpp"
 
 namespace reactive {
@@ -185,10 +182,10 @@ using CentralTreeBarrierSet =
  * parked in) and broadcasts on the site after the release.
  *
  * @tparam P          Platform model.
- * @tparam Policy     switching policy: any N-ary `SelectPolicy`, or —
- *                    for two-protocol sets — any binary `SwitchPolicy`
- *                    (embedded via SelectAdapter; shared with the
- *                    reactive mutex/rwlock).
+ * @tparam Policy     selection policy (core/policy.hpp): any N-ary
+ *                    `SelectPolicy`, or — for two-protocol sets — a
+ *                    two-protocol one (shared with the reactive
+ *                    mutex/rwlock).
  * @tparam Set        `ProtocolSet` of BarrierProtocolSlot members,
  *                    ordered by scalability (index 0 = low-contention
  *                    protocol).
@@ -203,15 +200,8 @@ template <Platform P, typename Policy = AlwaysSwitchPolicy,
           typename WaitPolicy = CalibratedWaitPolicy>
 class ReactiveBarrier {
   public:
-    /// The select-interface view of the policy parameter.
-    using Select = SelectFor<Policy>;
     /// Number of protocols in the set.
     static constexpr std::uint32_t kProtocols = Set::kCount;
-
-    static_assert(SelectPolicy<Select>);
-    static_assert(SelectPolicy<Policy> || kProtocols == 2,
-                  "binary SwitchPolicy policies embed as the two-protocol "
-                  "specialization; N-protocol sets need a SelectPolicy");
 
     /**
      * Protocol executing the current episode (exact, not a hint). The
@@ -224,16 +214,13 @@ class ReactiveBarrier {
         kDissemination = 2,
     };
 
-    /// The barrier-level waiting site for this Waiting tag.
-    using Site = WaitSite<P, Waiting>;
+  private:
+    using Monitor = ConsensusMonitor<P, Policy, kProtocols, Waiting,
+                                     WaitPolicy, trace::ObjectClass::kBarrier>;
+
+  public:
     /// Whether episode waits may park (ParkWaiting instantiations).
-    static constexpr bool kParking = Site::kParking;
-
-    static_assert(WaitSelectPolicy<WaitPolicy>);
-
-    /// Empty stand-in keeping spin-instantiation Nodes identical to the
-    /// pre-subsystem layout.
-    struct NoWaitStash {};
+    static constexpr bool kParking = Monitor::kParking;
 
     /// Per-participant state (one sub-node per slot); reuse the same
     /// Node across episodes.
@@ -242,8 +229,7 @@ class ReactiveBarrier {
         /// Last parked wait's cost, stashed until this participant is
         /// next in consensus (it feeds the wake-latency estimator only
         /// as a completer). Empty in spin instantiations.
-        [[no_unique_address]]
-        std::conditional_t<kParking, AwaitResult, NoWaitStash> last_wait{};
+        [[no_unique_address]] typename Monitor::WaitStash last_wait{};
     };
 
     explicit ReactiveBarrier(std::uint32_t participants)
@@ -264,7 +250,7 @@ class ReactiveBarrier {
           rmw_floor_(params.bunched_cycles_per_arrival /
                      (params.bunched_rmw_multiple ? params.bunched_rmw_multiple
                                                   : 1)),
-          select_(std::move(policy))
+          monitor_(std::move(policy))
     {
         // Initial protocol: index 0 (the low-contention choice, as the
         // reactive lock starts in TTS mode, Figure 3.27).
@@ -275,8 +261,8 @@ class ReactiveBarrier {
         // one would burn switching evidence on rungs that do not
         // exist). Explicitly configured sizes equal to kProtocols are
         // untouched, including their Params.
-        if constexpr (requires { select_.resize_protocols(kProtocols); })
-            select_.resize_protocols(kProtocols);
+        if constexpr (requires(Policy& p) { p.resize_protocols(kProtocols); })
+            monitor_.select().resize_protocols(kProtocols);
     }
 
     // ---- Barrier interface -------------------------------------------
@@ -292,11 +278,15 @@ class ReactiveBarrier {
                 // their local spins.
                 if constexpr (kParking) {
                     if constexpr (requires(AwaitResult& w) {
-                                      proto.wait_episode(pn, wsite_, w);
+                                      proto.wait_episode(pn, monitor_.site(),
+                                                         w);
                                   }) {
                         AwaitResult wr{};
-                        proto.wait_episode(pn, wsite_, wr);
-                        note_waited(n, wr);
+                        proto.wait_episode(pn, monitor_.site(), wr);
+                        // Not a consensus point: the cost is stashed
+                        // until this participant next completes.
+                        if (monitor_.parked(wr))
+                            n.last_wait = wr;
                         return;
                     }
                 }
@@ -305,13 +295,13 @@ class ReactiveBarrier {
             }
             // In consensus: select the next waiting mode first, so the
             // waiters this release is about to free dispatch under it.
-            update_wait_policy(n);
+            monitor_.episode_released(n.last_wait);
             episode_consensus(static_cast<std::uint32_t>(index.value), ep,
                               &n);
             proto.release_episode(pn);
             // Parking wake rule: the sense flip (and any mode store)
             // above is followed, in the same thread, by the broadcast.
-            wake_waiters();
+            monitor_.wake();
         });
     }
 
@@ -347,18 +337,13 @@ class ReactiveBarrier {
     /// *participant* between its own arrivals: no episode can complete
     /// (and no completer can touch this) until that participant
     /// arrives again. Racy inspection for non-participants.
-    std::uint64_t protocol_changes() const { return protocol_changes_; }
-
-    /// Policy state access (in-consensus callers only). Returns the
-    /// policy as passed in (binary policies are unwrapped from their
-    /// adapter).
-    Policy& policy()
+    std::uint64_t protocol_changes() const
     {
-        if constexpr (SelectPolicy<Policy>)
-            return select_;
-        else
-            return select_.underlying();
+        return monitor_.protocol_changes();
     }
+
+    /// Policy state access (in-consensus callers only).
+    Policy& policy() { return monitor_.select(); }
 
     /// Direct slot access (tests, experiments).
     template <std::size_t I>
@@ -375,126 +360,13 @@ class ReactiveBarrier {
     WaitPolicy& wait_policy()
         requires kParking
     {
-        return wstate_.policy;
+        return monitor_.wait_policy();
     }
 
     /// The packed wait hint currently published to waiters (tests).
-    std::uint32_t wait_hint() const { return wsite_.hint(); }
+    std::uint32_t wait_hint() const { return monitor_.site().hint(); }
 
   private:
-    /// Calibrating policies additionally receive each episode's spread
-    /// as a cost sample (see episode_consensus).
-    static constexpr bool kCalibrating = CalibratingSelectPolicy<Select>;
-
-    /// Socket-aware policies also receive the socket-of-previous-
-    /// completer bit: an episode whose consensus moved across sockets
-    /// carried its hot lines with it, the barrier analogue of the
-    /// lock's handoff-locality split (SocketHandoffTracker;
-    /// completer-only plain state).
-    static constexpr bool kSocketAware = SocketAwareSelect<Select>;
-
-    bool note_completer_socket() { return completer_socket_.note_handoff(); }
-
-    // ---- waiting-mode selection (ParkWaiting instantiations only) ----
-
-    /// Park-axis completer state; empty stand-in as for Node.
-    struct ParkWaitState {
-        WaitPolicy policy{};
-        std::uint64_t last_end = 0;  ///< previous episode's consensus stamp
-    };
-    struct NoWaitState {};
-    using WaitState = std::conditional_t<kParking, ParkWaitState, NoWaitState>;
-
-    /// A parked participant stashes its wait cost (fed to the policy
-    /// only once it is next in consensus) and traces the park. Not a
-    /// consensus point: no policy state is touched here.
-    void note_waited(Node& n, const AwaitResult& wr)
-    {
-        if constexpr (kParking) {
-            if (!wr.blocked)
-                return;
-            n.last_wait = wr;
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const auto m = static_cast<std::uint8_t>(
-                        unpack_wait_hint(wsite_.hint()).mode);
-                    trace::emit(trace::EventType::kPark,
-                                trace::ObjectClass::kBarrier, trace_id_, m,
-                                m, P::now(), wr.wait_cycles,
-                                wr.wake_latency);
-                }
-            }
-        }
-    }
-
-    /// Broadcast on the barrier-level site (no-op in spin builds).
-    void wake_waiters()
-    {
-        if constexpr (kParking) {
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const std::uint32_t w = wsite_.waiters();
-                    if (w > 0)
-                        trace::emit(trace::EventType::kWake,
-                                    trace::ObjectClass::kBarrier, trace_id_,
-                                    0, 0, P::now(), w);
-                }
-            }
-            wsite_.wake_all();
-        }
-    }
-
-    /// The completer (in consensus): fold the episode period into the
-    /// wait policy as the hold analogue — an arrival's mean residual
-    /// wait is about half a period, so the depth multiplier is
-    /// deliberately withheld (queue_depth = 0 makes the policy's
-    /// expected wait period/2) — feed its own stashed wake latency, and
-    /// publish the new hint before the release frees the waiters.
-    void update_wait_policy(Node& n)
-    {
-        if constexpr (kParking) {
-            WaitSignal ws;
-            const std::uint64_t now = P::now();
-            ws.hold_cycles = wstate_.last_end != 0 && now > wstate_.last_end
-                                 ? now - wstate_.last_end
-                                 : 0;
-            ws.queue_depth = 0;
-            ws.now_cycles = now;
-            wstate_.last_end = now;
-            if (n.last_wait.wake_latency != 0) {
-                wstate_.policy.note_wake_latency(n.last_wait.wake_latency);
-                n.last_wait.wake_latency = 0;
-            }
-            const auto old_mode = static_cast<std::uint8_t>(
-                unpack_wait_hint(wstate_.policy.hint()).mode);
-            const std::uint32_t h = wstate_.policy.on_release(ws);
-            const auto new_mode =
-                static_cast<std::uint8_t>(unpack_wait_hint(h).mode);
-            wsite_.set_hint(h);
-            if constexpr (WaitAwareSelect<Select>)
-                select_.on_wait_signal(ws);
-            if constexpr (trace::kCompiled) {
-                if (new_mode != old_mode && trace::enabled()) [[unlikely]] {
-                    std::uint64_t ests = 0;
-                    std::uint64_t ew = 0;
-                    if constexpr (requires {
-                                      wstate_.policy.hold_estimate();
-                                      wstate_.policy.block_estimate();
-                                      wstate_.policy.expected_wait();
-                                  }) {
-                        ests = (wstate_.policy.hold_estimate() << 32) |
-                               (wstate_.policy.block_estimate() &
-                                0xffffffffull);
-                        ew = wstate_.policy.expected_wait();
-                    }
-                    trace::emit(trace::EventType::kWaitModeSwitch,
-                                trace::ObjectClass::kBarrier, trace_id_,
-                                old_mode, new_mode, P::now(), h, ests, ew);
-                }
-            }
-        }
-    }
-
     /**
      * The completer's in-consensus step, run after its arrival and
      * before the release: classify the episode, consult the policy,
@@ -605,90 +477,19 @@ class ReactiveBarrier {
             }
             sample = spread;
         }
-        const ProtocolSignal sig{m, drift};
-        const trace::ProbeWatch<Select> probe(select_, trace::enabled());
-        if constexpr (trace::kCompiled) {
-            // The episode record reuses the consensus stamp and the
-            // classified cost sample — no extra measurement.
-            if (trace::enabled()) [[unlikely]]
-                trace::emit(trace::EventType::kEpisode,
-                            trace::ObjectClass::kBarrier, trace_id_,
-                            static_cast<std::uint8_t>(m),
-                            static_cast<std::uint8_t>(m), end, sample,
-                            participants_);
-        }
-        std::uint32_t next;
-        if constexpr (kCalibrating) {
-            if (params_.free_monitoring && sample == 0) {
-                if constexpr (kSocketAware)
-                    (void)note_completer_socket();
-                next = select_.next_protocol(sig);  // no period yet
-            } else if constexpr (kSocketAware) {
-                next = select_.next_protocol(sig, sample,
-                                             note_completer_socket());
-            } else {
-                next = select_.next_protocol(sig, sample);
-            }
-        } else {
-            next = select_.next_protocol(sig);
-        }
-        if (next >= kProtocols)
-            next = m;  // defensive: a policy bug must not wedge the set
-        if (next != m) {
-            mode_->store(next, std::memory_order_relaxed);
-            ++protocol_changes_;
-            select_.on_switch();
-            // The completer's measurable switching span — from the
-            // consensus stamp to here — covers the classification,
-            // policy, and mode-store work. The systemic remainder of a
-            // barrier change (the next episode running the other
-            // protocol cold) is excluded by the policy's
-            // first-sample-after-switch discard, and the policy's
-            // switch-cost accounting scales the span to a disruption
-            // estimate, exactly as for the locks.
-            [[maybe_unused]] std::uint64_t dur = 0;
-            if constexpr (kCalibrating) {
-                dur = P::now() - end;
-                select_.on_switch_cycles(dur);
-            }
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]]
-                    trace::emit(trace::EventType::kSwitch,
-                                trace::ObjectClass::kBarrier, trace_id_,
-                                static_cast<std::uint8_t>(m),
-                                static_cast<std::uint8_t>(next), P::now(),
-                                trace::pack_signal(sig.protocol, sig.drift),
-                                trace::estimator_pair(select_, m, next),
-                                dur);
-            }
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]] {
-                probe.emit_edges(select_, trace::ObjectClass::kBarrier,
-                                 trace_id_, static_cast<std::uint8_t>(m),
-                                 static_cast<std::uint8_t>(next), P::now());
-                // Regret account: the episode's classified cost sample
-                // against the policy's cheapest measured rung. Reuses
-                // the consensus stamp and sample — no extra measurement,
-                // host memory only (see src/audit/audit.hpp).
-                if constexpr (kCalibrating) {
-                    if (sample > 0) {
-                        if (const auto best = audit::best_alternative(
-                                select_, kProtocols)) {
-                            const std::uint64_t regret = audit::record(
-                                trace::ObjectClass::kBarrier, trace_id_,
-                                sample, *best);
-                            trace::emit(trace::EventType::kRegret,
-                                        trace::ObjectClass::kBarrier,
-                                        trace_id_,
-                                        static_cast<std::uint8_t>(m),
-                                        static_cast<std::uint8_t>(next),
-                                        end, sample, *best, regret);
-                        }
-                    }
-                }
-            }
-        }
+        // The switching span runs from the consensus stamp to the end
+        // of the switch bookkeeping: classification, policy and mode
+        // store. The systemic remainder of a barrier change (the next
+        // episode running the other protocol cold) is excluded by the
+        // policy's first-sample-after-switch discard, and the policy's
+        // switch-cost accounting scales the span to a disruption
+        // estimate, exactly as for the locks. The mode store is
+        // published by the release that follows.
+        monitor_.completed({m, drift}, end, sample,
+                           !params_.free_monitoring || sample != 0,
+                           participants_, [&](std::uint32_t next) {
+                               mode_->store(next, std::memory_order_relaxed);
+                           });
     }
 
     /// Decaying minimum of the completer's bottom-rung counter-RMW
@@ -719,23 +520,15 @@ class ReactiveBarrier {
     const std::uint64_t facade_key_ = next_object_key();
     std::uint64_t rmw_floor_;             // mutated in-consensus only
     std::uint32_t floor_samples_ = 0;     // mutated in-consensus only
-    Select select_;                       // mutated in-consensus only
-    std::uint64_t protocol_changes_ = 0;  // mutated in-consensus only
     // Free-monitoring state (mutated in-consensus only).
     std::uint64_t prev_end_ = 0;
     const void* prev_completer_ = nullptr;
     std::uint32_t completer_streak_ = 0;
-    // Socket of the previous completer (socket-aware policies only;
-    // mutated in-consensus only).
-    SocketHandoffTracker<P> completer_socket_;
-    // Waiting-mode state: both empty (and branch-free above) for
-    // SpinWaiting instantiations.
-    [[no_unique_address]] Site wsite_;
-    [[no_unique_address]] WaitState wstate_;  // mutated in-consensus only
-    // Trace identity (0 when tracing is compiled out). Unconditional
-    // member so object layout is identical in both build modes.
-    std::uint32_t trace_id_ =
-        trace::new_object(trace::ObjectClass::kBarrier);
+    // Policy, socket tracker (of the previous completer: an episode
+    // whose consensus moved across sockets carried its hot lines with
+    // it), wait site and trace identity: completer-only state (the site
+    // also by waiters).
+    Monitor monitor_;
 };
 
 }  // namespace reactive

@@ -37,13 +37,13 @@
  *    y ~ switch round trip / queue residual — the proportionality the
  *    thesis used to pick Hysteresis(20, 55) in the first place).
  *
- * Both calibrated policies satisfy the `SwitchPolicy` concept unchanged
- * (the bool-only observation methods run the decision logic on current
- * estimates), and additionally satisfy `CalibratingSwitchPolicy`: the
- * reactive primitives detect that refinement with `if constexpr` and
- * pass each slow-path acquisition's measured latency and each switch's
- * measured duration. Plain policies compile to exactly the code they
- * compiled to before — no timestamps are taken for them.
+ * Both calibrated policies are two-protocol selection policies
+ * (core/policy.hpp) that also satisfy `CalibratingSelectPolicy` and
+ * `SocketAwareSelect`: the reactive primitives detect those refinements
+ * with `if constexpr` (core/consensus_monitor.hpp) and pass each
+ * slow-path acquisition's measured latency and each switch's measured
+ * duration. Plain policies compile to exactly the code they compiled to
+ * before — no timestamps are taken for them.
  */
 #pragma once
 
@@ -178,73 +178,6 @@ struct SocketSplitStat {
 };
 
 /**
- * One waiting-axis observation, assembled for free by the departing
- * holder at release (src/waiting/reactive/): the span it held the
- * object and the advisory count of parked/queued waiters it saw.
- * Consumed by WaitSelectPolicy (waiting/reactive/wait_select.hpp) to
- * pick spin / two-phase / park, and optionally by wait-aware
- * N-protocol selection policies (WaitAwareSelect,
- * core/protocol_set.hpp). Single-writer under the same in-consensus
- * serialization as every other estimator lane.
- */
-struct WaitSignal {
-    std::uint64_t hold_cycles = 0;  ///< acquisition -> release span
-    std::uint32_t queue_depth = 0;  ///< waiters observed at release
-    /// Release timestamp (P::now() at signal assembly). Lets the policy
-    /// measure release-to-release intervals — the object's end-to-end
-    /// service rate, the quantity mode probing compares. 0 = caller
-    /// does not supply timestamps (interval probing disabled).
-    std::uint64_t now_cycles = 0;
-};
-
-// clang-format off
-/**
- * Refinement of SwitchPolicy for policies that consume runtime cost
- * samples. `on_*_acquire(signal, cycles)` is the observation plus the
- * acquisition's measured latency; `on_switch_cycles` reports the
- * measured duration of the in-consensus part of a protocol change
- * (called after on_switch(), still in consensus).
- */
-template <typename P>
-concept CalibratingSwitchPolicy =
-    SwitchPolicy<P> &&
-    requires(P p, bool b, std::uint64_t c) {
-        { p.on_tts_acquire(b, c) } -> std::same_as<bool>;
-        { p.on_queue_acquire(b, c) } -> std::same_as<bool>;
-        { p.on_switch_cycles(c) } -> std::same_as<void>;
-    };
-
-/**
- * Optional further refinement: policies that want to know about
- * optimistic fast-path wins (a private counter increment by the new
- * holder — in-consensus, traffic-free; see
- * CalibratedCompetitive3Policy::on_tts_fast_acquire).
- */
-template <typename P>
-concept FastPathAwarePolicy =
-    SwitchPolicy<P> &&
-    requires(P p) {
-        { p.on_tts_fast_acquire() } -> std::same_as<void>;
-    };
-
-/**
- * Further refinement of CalibratingSwitchPolicy: the three-argument
- * observations additionally carry the socket-of-previous-holder bit
- * (true = the handoff crossed a socket boundary), routing the sample
- * into the split latency classes (SocketSplitStat). The decision
- * logic is unchanged — the split only sharpens the estimates the
- * existing thresholds are computed from.
- */
-template <typename P>
-concept SocketAwareCalibratingPolicy =
-    CalibratingSwitchPolicy<P> &&
-    requires(P p, bool b, std::uint64_t c, bool x) {
-        { p.on_tts_acquire(b, c, x) } -> std::same_as<bool>;
-        { p.on_queue_acquire(b, c, x) } -> std::same_as<bool>;
-    };
-// clang-format on
-
-/**
  * Per-object estimator of the cost quantities the switching policies
  * need, as EWMAs over in-consensus cycle samples.
  *
@@ -365,6 +298,17 @@ class alignas(kCacheLineSize) CostEstimator {
         Stat& s = empty ? queue_empty_ : queue_waited_;
         s.update(cycles, params_.ewma_shift, cross);
         queue_overall_.update(cycles, params_.ewma_shift);
+    }
+
+    /// One observation's sample, routed by the two-protocol roles of
+    /// core/policy.hpp: protocol 0 is TTS (contended on drift +1), any
+    /// other index the queue (empty on drift -1).
+    void sample(ProtocolSignal s, std::uint64_t cycles, bool cross = false)
+    {
+        if (s.protocol == 0)
+            sample_tts(s.drift > 0, cycles, cross);
+        else
+            sample_queue(s.drift < 0, cycles, cross);
     }
 
     /// One measured protocol change. The first sample *replaces* the
@@ -521,6 +465,8 @@ class alignas(kCacheLineSize) CostEstimator {
  */
 class CalibratedCompetitive3Policy {
   public:
+    static constexpr std::uint32_t kMaxProtocols = 2;
+
     struct Params {
         CostEstimator::Params costs{};
         /// Base count of observed acquisitions between probes of the
@@ -546,11 +492,13 @@ class CalibratedCompetitive3Policy {
             params_.probe_len = 2;
     }
 
-    // ---- SwitchPolicy (estimate-only; no sample available) -----------
+    // ---- SelectPolicy (estimate-only; no sample available) -----------
 
-    bool on_tts_acquire(bool contended) { return tts_step(contended); }
-
-    bool on_queue_acquire(bool empty) { return queue_step(empty); }
+    std::uint32_t next_protocol(ProtocolSignal s)
+    {
+        return switch_if(s, s.protocol == 0 ? tts_step(s.drift > 0)
+                                            : queue_step(s.drift < 0));
+    }
 
     void on_switch()
     {
@@ -622,47 +570,27 @@ class CalibratedCompetitive3Policy {
         return f > kMaxFastFactor ? kMaxFastFactor : f;
     }
 
-    // ---- CalibratingSwitchPolicy -------------------------------------
+    // ---- CalibratingSelectPolicy / SocketAwareSelect -----------------
     //
-    // The two-argument observations carry a latency sample. Callers
-    // only pass samples whose class is unambiguous (the reactive lock
-    // omits the sample for slow-path wins that spun below the retry
-    // limit — their latency is waiting, not protocol cost, and feeding
-    // it to the "uncontended" class would poison the residuals); the
-    // decision logic is identical with or without a sample. The first
-    // sample after any protocol change is discarded: it pays the
-    // switch disruption (cold lines, re-routing waiters), which
-    // belongs to the switch cost, not to the protocol's steady class.
+    // The sampled observations carry a latency sample. Callers only
+    // pass samples whose class is unambiguous (the reactive lock omits
+    // the sample for slow-path wins that spun below the retry limit —
+    // their latency is waiting, not protocol cost, and feeding it to
+    // the "uncontended" class would poison the residuals); the decision
+    // logic is identical with or without a sample. The first sample
+    // after any protocol change is discarded: it pays the switch
+    // disruption (cold lines, re-routing waiters), which belongs to the
+    // switch cost, not to the protocol's steady class. The cross bit
+    // routes the sample into the split latency classes; decisions are
+    // computed from the blended estimates either way.
 
-    bool on_tts_acquire(bool contended, std::uint64_t cycles)
-    {
-        return on_tts_acquire(contended, cycles, /*cross=*/false);
-    }
-
-    bool on_queue_acquire(bool empty, std::uint64_t cycles)
-    {
-        return on_queue_acquire(empty, cycles, /*cross=*/false);
-    }
-
-    // ---- SocketAwareCalibratingPolicy --------------------------------
-    //
-    // The extra bit routes the sample into the split latency classes;
-    // decisions are computed from the blended estimates either way.
-
-    bool on_tts_acquire(bool contended, std::uint64_t cycles, bool cross)
+    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles,
+                                bool cross = false)
     {
         if (!skip_next_sample_)
-            est_.sample_tts(contended, cycles, cross);
+            est_.sample(s, cycles, cross);
         skip_next_sample_ = false;
-        return tts_step(contended);
-    }
-
-    bool on_queue_acquire(bool empty, std::uint64_t cycles, bool cross)
-    {
-        if (!skip_next_sample_)
-            est_.sample_queue(empty, cycles, cross);
-        skip_next_sample_ = false;
-        return queue_step(empty);
+        return next_protocol(s);
     }
 
     void on_switch_cycles(std::uint64_t cycles)
@@ -689,7 +617,7 @@ class CalibratedCompetitive3Policy {
     {
         if (probe_ == Probe::kProbing && home_is_queue_)
             return probe_step();
-        probe_ = Probe::kNone;  // home-mode callback ends any stale probe
+        probe_ = Probe::kNone;  // home-mode observation ends any stale probe
         home_is_queue_ = false;
         ++acq_since_probe_;
         ++observed_home_;
@@ -797,7 +725,7 @@ class CalibratedCompetitive3Policy {
     std::uint32_t probe_acqs_ = 0;
     std::uint64_t probes_started_ = 0;
     Probe probe_ = Probe::kNone;
-    bool home_is_queue_ = false;  ///< inferred from the callbacks
+    bool home_is_queue_ = false;  ///< inferred from the observations
     bool probe_returning_ = false;
     bool skip_next_sample_ = false;
 };
@@ -832,6 +760,8 @@ class CalibratedCompetitive3Policy {
  */
 class CalibratedHysteresisPolicy {
   public:
+    static constexpr std::uint32_t kMaxProtocols = 2;
+
     struct Params {
         CostEstimator::Params costs{};
         std::uint32_t min_streak = 2;
@@ -849,42 +779,12 @@ class CalibratedHysteresisPolicy {
     {
     }
 
-    // ---- SwitchPolicy ------------------------------------------------
+    // ---- SelectPolicy ------------------------------------------------
 
-    bool on_tts_acquire(bool contended)
+    std::uint32_t next_protocol(ProtocolSignal s)
     {
-        if (probe_ == Probe::kProbing && home_is_queue_)
-            return probe_step();
-        probe_ = Probe::kNone;  // home-mode callback ends any stale probe
-        home_is_queue_ = false;
-        ++acq_since_probe_;
-        if (!contended) {
-            contended_streak_ = 0;
-            return probe_due();
-        }
-        if (++contended_streak_ >= to_queue_streak()) {
-            probe_backoff_ = 0;  // the signals moved: regime shift
-            return true;
-        }
-        return probe_due();
-    }
-
-    bool on_queue_acquire(bool empty)
-    {
-        if (probe_ == Probe::kProbing && !home_is_queue_)
-            return probe_step();
-        probe_ = Probe::kNone;
-        home_is_queue_ = true;
-        ++acq_since_probe_;
-        if (!empty) {
-            empty_streak_ = 0;
-            return probe_due();
-        }
-        if (++empty_streak_ >= to_tts_streak()) {
-            probe_backoff_ = 0;
-            return true;
-        }
-        return probe_due();
+        return switch_if(s, s.protocol == 0 ? tts_step(s.drift > 0)
+                                            : queue_step(s.drift < 0));
     }
 
     void on_switch()
@@ -897,38 +797,19 @@ class CalibratedHysteresisPolicy {
         skip_next_sample_ = true;
     }
 
-    // ---- CalibratingSwitchPolicy -------------------------------------
+    // ---- CalibratingSelectPolicy / SocketAwareSelect -----------------
     //
     // As in the competitive policy, the first sample after a protocol
     // change pays the switch disruption and is discarded rather than
     // fed to a steady-state class.
 
-    bool on_tts_acquire(bool contended, std::uint64_t cycles)
-    {
-        return on_tts_acquire(contended, cycles, /*cross=*/false);
-    }
-
-    bool on_queue_acquire(bool empty, std::uint64_t cycles)
-    {
-        return on_queue_acquire(empty, cycles, /*cross=*/false);
-    }
-
-    // ---- SocketAwareCalibratingPolicy --------------------------------
-
-    bool on_tts_acquire(bool contended, std::uint64_t cycles, bool cross)
+    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles,
+                                bool cross = false)
     {
         if (!skip_next_sample_)
-            est_.sample_tts(contended, cycles, cross);
+            est_.sample(s, cycles, cross);
         skip_next_sample_ = false;
-        return on_tts_acquire(contended);
-    }
-
-    bool on_queue_acquire(bool empty, std::uint64_t cycles, bool cross)
-    {
-        if (!skip_next_sample_)
-            est_.sample_queue(empty, cycles, cross);
-        skip_next_sample_ = false;
-        return on_queue_acquire(empty);
+        return next_protocol(s);
     }
 
     void on_switch_cycles(std::uint64_t cycles)
@@ -962,6 +843,42 @@ class CalibratedHysteresisPolicy {
 
     static constexpr std::uint32_t kProbeBackoffCap = 6;
 
+    bool tts_step(bool contended)
+    {
+        if (probe_ == Probe::kProbing && home_is_queue_)
+            return probe_step();
+        probe_ = Probe::kNone;  // home-mode observation ends any stale probe
+        home_is_queue_ = false;
+        ++acq_since_probe_;
+        if (!contended) {
+            contended_streak_ = 0;
+            return probe_due();
+        }
+        if (++contended_streak_ >= to_queue_streak()) {
+            probe_backoff_ = 0;  // the signals moved: regime shift
+            return true;
+        }
+        return probe_due();
+    }
+
+    bool queue_step(bool empty)
+    {
+        if (probe_ == Probe::kProbing && !home_is_queue_)
+            return probe_step();
+        probe_ = Probe::kNone;
+        home_is_queue_ = true;
+        ++acq_since_probe_;
+        if (!empty) {
+            empty_streak_ = 0;
+            return probe_due();
+        }
+        if (++empty_streak_ >= to_tts_streak()) {
+            probe_backoff_ = 0;
+            return true;
+        }
+        return probe_due();
+    }
+
     std::uint32_t derive(std::uint64_t residual) const
     {
         const std::uint64_t x = est_.switch_round_trip() / residual;
@@ -974,7 +891,7 @@ class CalibratedHysteresisPolicy {
 
     /// One observed acquisition executed in the dormant protocol
     /// during a probe. The probe only refreshes estimates (the
-    /// sampling overloads already fed the estimator); the streaks are
+    /// sampled observation already fed the estimator); the streaks are
     /// untouched — a probe is a measurement episode, not evidence.
     bool probe_step()
     {
@@ -1010,19 +927,14 @@ class CalibratedHysteresisPolicy {
     std::uint32_t probe_backoff_ = 0;
     std::uint32_t probe_acqs_ = 0;
     Probe probe_ = Probe::kNone;
-    bool home_is_queue_ = false;  ///< inferred from the callbacks
+    bool home_is_queue_ = false;  ///< inferred from the observations
     bool skip_next_sample_ = false;
 };
 
-static_assert(SwitchPolicy<CalibratedCompetitive3Policy>);
-static_assert(SwitchPolicy<CalibratedHysteresisPolicy>);
-static_assert(CalibratingSwitchPolicy<CalibratedCompetitive3Policy>);
-static_assert(CalibratingSwitchPolicy<CalibratedHysteresisPolicy>);
-static_assert(FastPathAwarePolicy<CalibratedCompetitive3Policy>);
-static_assert(!FastPathAwarePolicy<CalibratedHysteresisPolicy>);
-static_assert(!CalibratingSwitchPolicy<Competitive3Policy>);
-static_assert(!CalibratingSwitchPolicy<HysteresisPolicy>);
-static_assert(SocketAwareCalibratingPolicy<CalibratedCompetitive3Policy>);
-static_assert(SocketAwareCalibratingPolicy<CalibratedHysteresisPolicy>);
+static_assert(SocketAwareSelect<CalibratedCompetitive3Policy>);
+static_assert(SocketAwareSelect<CalibratedHysteresisPolicy>);
+static_assert(FastPathAwareSelect<CalibratedCompetitive3Policy>);
+static_assert(!FastPathAwareSelect<CalibratedHysteresisPolicy>);
+static_assert(!SelectPolicyOver<CalibratedCompetitive3Policy, 3>);
 
 }  // namespace reactive

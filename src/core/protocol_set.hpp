@@ -15,22 +15,18 @@
  *    *mode* of a reactive object becomes a protocol **index** — still
  *    only a hint for locks, still exact for barriers — and the
  *    dispatcher routes each operation to the indexed slot.
- *  - **`SelectPolicy`** replaces the binary `SwitchPolicy`'s
- *    `bool should_switch()` with `next_protocol(signal) -> index`. The
+ *  - **`SelectPolicy`** (core/policy.hpp) answers
+ *    `next_protocol(signal) -> index` instead of "switch or stay". The
  *    observation is a `ProtocolSignal`: which protocol executed, and
  *    which *direction* along the set's scalability order the
  *    acquisition argues for (`drift`): +1 means the protocol was
  *    under-provisioned for the observed contention (a contended TTS
  *    acquisition, a bunched barrier episode), -1 over-provisioned (an
- *    empty-queue acquisition, a straggler-dominated episode).
- *  - **`SelectAdapter`** embeds every existing binary policy as the
- *    two-protocol specialization: protocol 0 observations map to
- *    `on_tts_acquire(drift > 0)`, protocol 1 to
- *    `on_queue_acquire(drift < 0)`, and "switch" means "the other
- *    index". The call sequence into the wrapped policy is *identical*
- *    to what the primitives made before this generalization, so the
- *    binary policies' decisions — and therefore the deterministic sim
- *    benchmark numbers — are bit-compatible.
+ *    empty-queue acquisition, a straggler-dominated episode). The
+ *    thesis' policies (core/policy.hpp, core/cost_model.hpp) are the
+ *    two-protocol case: protocol 0 plays the TTS role, protocol 1 the
+ *    queue role, and they declare `kMaxProtocols = 2` so a larger set
+ *    rejects them at compile time.
  *
  * Two genuinely N-ary policies live here as well:
  *
@@ -70,188 +66,6 @@
 #include "core/policy.hpp"
 
 namespace reactive {
-
-/**
- * One per-acquisition observation handed to an N-protocol policy:
- * which protocol serviced the request, and which direction along the
- * set's scalability order the request's contention evidence points.
- */
-struct ProtocolSignal {
-    std::uint32_t protocol = 0;  ///< index of the protocol that executed
-    int drift = 0;  ///< +1 under-provisioned, -1 over-provisioned, 0 content
-};
-
-// clang-format off
-/**
- * N-protocol selection policy: `next_protocol` returns the index the
- * object should run next (== signal.protocol means stay). Methods are
- * invoked only in-consensus, exactly as for the binary SwitchPolicy.
- */
-template <typename Pol>
-concept SelectPolicy = requires(Pol p, ProtocolSignal s) {
-    { p.next_protocol(s) } -> std::same_as<std::uint32_t>;
-    { p.on_switch() } -> std::same_as<void>;
-};
-
-/**
- * Refinement for policies that consume runtime cost samples: the
- * two-argument observation carries the acquisition's measured latency,
- * and `on_switch_cycles` the measured in-consensus span of a change
- * (the N-ary mirror of CalibratingSwitchPolicy).
- */
-template <typename Pol>
-concept CalibratingSelectPolicy =
-    SelectPolicy<Pol> &&
-    requires(Pol p, ProtocolSignal s, std::uint64_t c) {
-        { p.next_protocol(s, c) } -> std::same_as<std::uint32_t>;
-        { p.on_switch_cycles(c) } -> std::same_as<void>;
-    };
-
-/// Select-side mirror of FastPathAwarePolicy (core/cost_model.hpp).
-template <typename Pol>
-concept FastPathAwareSelect = requires(Pol p) {
-    { p.on_tts_fast_acquire() } -> std::same_as<void>;
-};
-
-/**
- * Select-side mirror of SocketAwareCalibratingPolicy: the
- * three-argument observation additionally carries the
- * socket-of-previous-holder bit, routing the cycle sample into split
- * latency populations (SocketSplitStat). Decision logic unchanged.
- */
-template <typename Pol>
-concept SocketAwareSelect =
-    CalibratingSelectPolicy<Pol> &&
-    requires(Pol p, ProtocolSignal s, std::uint64_t c, bool x) {
-        { p.next_protocol(s, c, x) } -> std::same_as<std::uint32_t>;
-    };
-
-/**
- * Select-side waiting-axis observation (src/waiting/reactive/): the
- * departing holder's WaitSignal — hold span and observed queue depth —
- * delivered in-consensus at release. Primitives detect the refinement
- * with `if constexpr` exactly like the calibrating ones; policies
- * without it compile to the code they compiled to before the waiting
- * subsystem existed.
- */
-template <typename Pol>
-concept WaitAwareSelect = requires(Pol p, const WaitSignal& s) {
-    { p.on_wait_signal(s) } -> std::same_as<void>;
-};
-// clang-format on
-
-/**
- * Embeds a binary SwitchPolicy as the two-protocol specialization of
- * SelectPolicy. Protocol 0 plays the TTS role, protocol 1 the queue
- * role; the underlying call sequence is identical to the pre-ProtocolSet
- * primitives', so wrapped policies decide bit-identically. Only valid
- * for two-protocol sets (the primitives static_assert this).
- */
-template <SwitchPolicy Policy>
-class SelectAdapter {
-  public:
-    SelectAdapter() = default;
-    /*implicit*/ SelectAdapter(Policy p) : policy_(std::move(p)) {}
-
-    std::uint32_t next_protocol(ProtocolSignal s)
-    {
-        const bool sw = s.protocol == 0
-                            ? policy_.on_tts_acquire(s.drift > 0)
-                            : policy_.on_queue_acquire(s.drift < 0);
-        return sw ? (s.protocol ^ 1u) : s.protocol;
-    }
-
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles)
-        requires CalibratingSwitchPolicy<Policy>
-    {
-        const bool sw = s.protocol == 0
-                            ? policy_.on_tts_acquire(s.drift > 0, cycles)
-                            : policy_.on_queue_acquire(s.drift < 0, cycles);
-        return sw ? (s.protocol ^ 1u) : s.protocol;
-    }
-
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles,
-                                bool cross)
-        requires SocketAwareCalibratingPolicy<Policy>
-    {
-        const bool sw =
-            s.protocol == 0
-                ? policy_.on_tts_acquire(s.drift > 0, cycles, cross)
-                : policy_.on_queue_acquire(s.drift < 0, cycles, cross);
-        return sw ? (s.protocol ^ 1u) : s.protocol;
-    }
-
-    void on_switch() { policy_.on_switch(); }
-
-    void on_switch_cycles(std::uint64_t cycles)
-        requires CalibratingSwitchPolicy<Policy>
-    {
-        policy_.on_switch_cycles(cycles);
-    }
-
-    void on_tts_fast_acquire()
-        requires FastPathAwarePolicy<Policy>
-    {
-        policy_.on_tts_fast_acquire();
-    }
-
-    /// Monitoring passthroughs (trace/instrument.hpp estimator_pair
-    /// and ProbeWatch, audit::best_alternative): the adapter is
-    /// decision-transparent, so it must be observation-transparent
-    /// too — without these, a wrapped calibrated policy traced as if
-    /// it had no estimator (est=0 switch payloads, no regret samples).
-    decltype(auto) estimator() const
-        requires requires(const Policy& p) { p.estimator(); }
-    {
-        return policy_.estimator();
-    }
-
-    decltype(auto) probing() const
-        requires requires(const Policy& p) { p.probing(); }
-    {
-        return policy_.probing();
-    }
-
-    decltype(auto) probes_started() const
-        requires requires(const Policy& p) { p.probes_started(); }
-    {
-        return policy_.probes_started();
-    }
-
-    decltype(auto) adoptions() const
-        requires requires(const Policy& p) { p.adoptions(); }
-    {
-        return policy_.adoptions();
-    }
-
-    Policy& underlying() { return policy_; }
-    const Policy& underlying() const { return policy_; }
-
-  private:
-    Policy policy_{};
-};
-
-namespace detail {
-
-template <typename Pol>
-struct SelectForImpl {
-    // Not a SelectPolicy: must be a binary SwitchPolicy (the adapter's
-    // constraint produces the diagnostic otherwise).
-    using type = SelectAdapter<Pol>;
-};
-
-template <SelectPolicy Pol>
-struct SelectForImpl<Pol> {
-    using type = Pol;
-};
-
-}  // namespace detail
-
-/// The select-interface type a reactive primitive stores for a given
-/// policy parameter: the policy itself if it is already a SelectPolicy,
-/// else the binary adapter around it.
-template <typename Pol>
-using SelectFor = typename detail::SelectForImpl<Pol>::type;
 
 // ---- the protocol set --------------------------------------------------
 
@@ -499,12 +313,12 @@ static_assert(!CalibratingSelectPolicy<LadderCompetitivePolicy>);
  *    the cadence backs off.
  *
  * Probe cost is bounded (probe_len observations per period, at most
- * one round trip each way), so as with the calibrated binary policies
- * the regret of measuring stays a small constant fraction while the
- * unbounded cost of trusting wrong constants disappears. Without cycle
- * samples (a non-calibrating caller) the policy degenerates to probing
- * with no adoption evidence and stays home; use it with calibrating
- * primitives.
+ * one round trip each way), so as with the calibrated two-protocol
+ * policies the regret of measuring stays a small constant fraction
+ * while the unbounded cost of trusting wrong constants disappears.
+ * Without cycle samples (a non-calibrating caller) the policy
+ * degenerates to probing with no adoption evidence and stays home; use
+ * it with calibrating primitives.
  */
 class CalibratedLadderPolicy {
   public:
@@ -560,14 +374,7 @@ class CalibratedLadderPolicy {
         return step(s);
     }
 
-    // ---- CalibratingSelectPolicy -------------------------------------
-
-    std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles)
-    {
-        return next_protocol(s, cycles, /*cross=*/false);
-    }
-
-    // ---- SocketAwareSelect -------------------------------------------
+    // ---- CalibratingSelectPolicy / SocketAwareSelect -----------------
     //
     // Per-rung costs are socket-split (SocketSplitStat): on a
     // multi-socket host each rung's episode cost has an intra- and a
@@ -575,7 +382,7 @@ class CalibratedLadderPolicy {
     // the traffic-mix blends.
 
     std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t cycles,
-                                bool cross)
+                                bool cross = false)
     {
         const std::uint32_t i = clamp(s.protocol);
         if (skip_next_sample_) {
@@ -830,13 +637,6 @@ static_assert(SelectPolicy<CalibratedLadderPolicy>);
 static_assert(CalibratingSelectPolicy<CalibratedLadderPolicy>);
 static_assert(WaitAwareSelect<CalibratedLadderPolicy>);
 static_assert(!WaitAwareSelect<LadderCompetitivePolicy>);
-
-// The binary policies embed as two-protocol SelectPolicies.
-static_assert(SelectPolicy<SelectAdapter<AlwaysSwitchPolicy>>);
-static_assert(SelectPolicy<SelectAdapter<Competitive3Policy>>);
-static_assert(CalibratingSelectPolicy<SelectAdapter<CalibratedCompetitive3Policy>>);
-static_assert(FastPathAwareSelect<SelectAdapter<CalibratedCompetitive3Policy>>);
-static_assert(!FastPathAwareSelect<SelectAdapter<HysteresisPolicy>>);
-static_assert(!CalibratingSelectPolicy<SelectAdapter<Competitive3Policy>>);
+static_assert(SelectPolicyOver<CalibratedLadderPolicy, 3>);
 
 }  // namespace reactive

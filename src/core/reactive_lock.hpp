@@ -32,14 +32,13 @@
  *    already spinning, and fed to a pluggable switching policy
  *    (Section 3.4) whose state is only touched in-consensus.
  *
- * Policy interface: decisions flow through the N-protocol selection
- * framework (core/protocol_set.hpp) — the holder builds a
- * `ProtocolSignal` (mode index + contention drift) and asks the policy
- * for `next_protocol`. Binary `SwitchPolicy` policies embed through
- * `SelectAdapter` with the identical historical call sequence
- * (`on_tts_acquire(contended)` / `on_queue_acquire(empty)`), so their
- * decisions are bit-compatible with the pre-ProtocolSet lock; `Mode`
- * values are the protocol indices of the lock's two-slot set.
+ * Policy interface: the holder builds a `ProtocolSignal` (mode index +
+ * contention drift) and asks the policy for `next_protocol`
+ * (core/policy.hpp); `Mode` values are the protocol indices of the
+ * lock's two-slot set. The consensus-point bookkeeping — calibration,
+ * the socket bit, tracing, the regret audit and the waiting axis — runs
+ * through the shared ConsensusMonitor (core/consensus_monitor.hpp); the
+ * lock itself keeps only its protocol words and its consensus points.
  */
 #pragma once
 
@@ -49,15 +48,12 @@
 #include <optional>
 #include <type_traits>
 
-#include "audit/audit.hpp"
-#include "core/cost_model.hpp"
+#include "core/consensus_monitor.hpp"
 #include "core/policy.hpp"
-#include "core/protocol_set.hpp"
 #include "core/reactive_queue.hpp"
 #include "platform/backoff.hpp"
 #include "platform/cache_line.hpp"
 #include "platform/platform_concept.hpp"
-#include "trace/instrument.hpp"
 #include "waiting/reactive/wait_site.hpp"
 
 namespace reactive {
@@ -83,8 +79,8 @@ struct ReactiveLockParams {
  * `ReactiveMutex` wraps this into an RAII interface.
  *
  * @tparam P      Platform model.
- * @tparam Policy switching policy (Section 3.4): a binary SwitchPolicy
- *                or a two-protocol SelectPolicy.
+ * @tparam Policy selection policy (Section 3.4; core/policy.hpp) for the
+ *                two-protocol set {TTS, queue}.
  * @tparam Queue  queue-protocol slot: any type speaking ReactiveQueue's
  *                consensus-object dialect (acquire/Outcome, release,
  *                acquire_invalid, invalidate). The default is the flat
@@ -108,12 +104,8 @@ template <Platform P, typename Policy = AlwaysSwitchPolicy,
           typename WaitPolicy = CalibratedWaitPolicy>
 class ReactiveLock {
   public:
-    /// The select-interface view of the policy parameter.
-    using Select = SelectFor<Policy>;
     /// The lock's protocol set is fixed: {TTS, MCS queue}.
     static constexpr std::uint32_t kProtocols = 2;
-
-    static_assert(SelectPolicy<Select>);
 
     /// Protocol index currently servicing requests (the hint
     /// variable), under the set's conventional names.
@@ -130,19 +122,20 @@ class ReactiveLock {
     /// Queue node; must live from acquire() to release().
     using Node = typename Queue::Node;
 
-    /// The object-level waiting site for this Waiting tag.
-    using Site = WaitSite<P, Waiting>;
-    /// Whether slow-path waits may park (ParkWaiting instantiations).
-    static constexpr bool kParking = Site::kParking;
+  private:
+    using Monitor = ConsensusMonitor<P, Policy, kProtocols, Waiting,
+                                     WaitPolicy, trace::ObjectClass::kLock>;
 
-    static_assert(WaitSelectPolicy<WaitPolicy>);
+  public:
+    /// Whether slow-path waits may park (ParkWaiting instantiations).
+    static constexpr bool kParking = Monitor::kParking;
 
     ReactiveLock() : ReactiveLock(ReactiveLockParams{}, Policy{}) {}
 
     explicit ReactiveLock(ReactiveLockParams params, Policy policy = Policy{})
         : queue_(/*initially_valid=*/false),
           params_(params),
-          select_(std::move(policy))
+          monitor_(std::move(policy))
     {
         init();
     }
@@ -154,7 +147,7 @@ class ReactiveLock {
                  const QueueParams& queue_params)
         : queue_(/*initially_valid=*/false, queue_params),
           params_(params),
-          select_(std::move(policy))
+          monitor_(std::move(policy))
     {
         init();
     }
@@ -164,27 +157,11 @@ class ReactiveLock {
     {
         // Optimistic test&set (Section 3.7.3): correct regardless of
         // mode because a free TTS lock implies the TTS protocol is the
-        // valid one. Note that, as in the thesis' Figure 3.27, the fast
-        // path performs *no* monitoring: a fast-path win says nothing
-        // reliable about contention, and feeding it to a streak-based
-        // policy as "uncontended" would break hysteresis streaks that
-        // spinning acquirers are legitimately building. Fast-path-aware
-        // calibrating policies get a bare won-here notification (the
-        // winner holds the lock, so the private counter increment is
-        // in-consensus; no timestamp, no shared write).
+        // valid one. As in the thesis' Figure 3.27, the fast path
+        // performs *no* monitoring (see ConsensusMonitor::fast_acquired).
         if (params_.optimistic_tts &&
             tts_lock_.exchange(kBusy, std::memory_order_acquire) == kFree) {
-            if constexpr (FastPathAwareSelect<Select>)
-                select_.on_tts_fast_acquire();
-            // A fast-path winner is still the new holder: the *next*
-            // slow acquisition's handoff-locality bit is measured
-            // against this socket (plain store, no timestamp).
-            if constexpr (kSocketAware)
-                (void)note_holder_socket();
-            stamp_hold();
-            REACTIVE_TRACE_EVENT(trace::EventType::kFastAcquire,
-                                 trace::ObjectClass::kLock, trace_id_,
-                                 kTtsIndex, kTtsIndex, P::now());
+            monitor_.fast_acquired(kTtsIndex);
             return ReleaseMode::kTts;
         }
         // Dispatch loop: each protocol attempt either succeeds or
@@ -219,20 +196,11 @@ class ReactiveLock {
     {
         if (tts_lock_.load(std::memory_order_relaxed) == kFree &&
             tts_lock_.exchange(kBusy, std::memory_order_acquire) == kFree) {
-            if constexpr (FastPathAwareSelect<Select>)
-                select_.on_tts_fast_acquire();
-            if constexpr (kSocketAware)
-                (void)note_holder_socket();
-            stamp_hold();
-            REACTIVE_TRACE_EVENT(trace::EventType::kFastAcquire,
-                                 trace::ObjectClass::kLock, trace_id_,
-                                 kTtsIndex, kTtsIndex, P::now());
+            monitor_.fast_acquired(kTtsIndex);
             return ReleaseMode::kTts;
         }
         if (mode() == Mode::kQueue && queue_.try_acquire(node)) {
-            if constexpr (kSocketAware)
-                (void)note_holder_socket();
-            stamp_hold();
+            monitor_.fast_acquired(kQueueIndex);
             return ReleaseMode::kQueue;
         }
         return std::nullopt;
@@ -242,10 +210,12 @@ class ReactiveLock {
     void release(Node& node, ReleaseMode mode)
     {
         // Waiting-mode selection happens first, while still in
-        // consensus: fold this hold's span and the free queue-depth
-        // signal into the wait policy and publish the new hint, so the
-        // waiters this release is about to signal dispatch under it.
-        update_wait_policy();
+        // consensus, so the waiters this release is about to signal
+        // dispatch under the new hint.
+        monitor_.released([&](std::uint32_t hint) {
+            if constexpr (requires { queue_.set_wait_hint(hint); })
+                queue_.set_wait_hint(hint);
+        });
         switch (mode) {
         case ReleaseMode::kTts:
             release_tts();
@@ -262,20 +232,8 @@ class ReactiveLock {
         }
         // Parking wake rule: every condition-changing store above (TTS
         // free, queue grant, mode flip, invalidation walk) is followed
-        // here, in the same thread, by a site broadcast. Parked waiters
-        // re-check their own predicate and re-park if it still fails.
-        if constexpr (kParking) {
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const std::uint32_t w = wsite_.waiters();
-                    if (w > 0)
-                        trace::emit(trace::EventType::kWake,
-                                    trace::ObjectClass::kLock, trace_id_, 0,
-                                    0, P::now(), w);
-                }
-            }
-            wsite_.wake_all();
-        }
+        // here, in the same thread, by a site broadcast.
+        monitor_.wake();
     }
 
     /// Current protocol-index hint (tests and monitoring).
@@ -288,35 +246,30 @@ class ReactiveLock {
     Mode mode() const { return static_cast<Mode>(protocol_index()); }
 
     /// Number of completed protocol changes (tests and experiments).
-    std::uint64_t protocol_changes() const { return protocol_changes_; }
-
-    /// Policy state access (in-consensus callers only). Returns the
-    /// policy as passed in (binary policies are unwrapped from their
-    /// adapter).
-    Policy& policy()
+    std::uint64_t protocol_changes() const
     {
-        if constexpr (SelectPolicy<Policy>)
-            return select_;
-        else
-            return select_.underlying();
+        return monitor_.protocol_changes();
     }
+
+    /// Policy state access (in-consensus callers only).
+    Policy& policy() { return monitor_.select(); }
 
     /// Wait-policy state access (in-consensus callers only).
     WaitPolicy& wait_policy()
         requires kParking
     {
-        return wstate_.policy;
+        return monitor_.wait_policy();
     }
 
     /// The packed wait hint currently published to waiters (tests).
-    std::uint32_t wait_hint() const { return wsite_.hint(); }
+    std::uint32_t wait_hint() const { return monitor_.site().hint(); }
 
     /// Wait-mode transitions published over the lock's lifetime
     /// (tests/benchmarks; 0 for a run the policy never left spin).
     std::uint64_t wait_mode_changes() const
         requires kParking
     {
-        return wstate_.mode_changes;
+        return monitor_.wait_mode_changes();
     }
 
   private:
@@ -326,191 +279,6 @@ class ReactiveLock {
         static_cast<std::uint32_t>(Mode::kTts);
     static constexpr std::uint32_t kQueueIndex =
         static_cast<std::uint32_t>(Mode::kQueue);
-
-    /// Calibrating policies (core/cost_model.hpp) receive each
-    /// slow-path acquisition's measured latency and each switch's
-    /// measured duration; for plain policies no timestamp is ever
-    /// taken. Either way the samples flow only through policy state
-    /// (in-consensus, non-shared), never through shared memory.
-    static constexpr bool kCalibrating = CalibratingSelectPolicy<Select>;
-
-    /// Socket-aware policies additionally receive each sample's
-    /// socket-of-previous-holder bit, splitting the latency classes by
-    /// handoff locality (SocketSplitStat). The bit is free: the new
-    /// holder knows its own socket, and the previous holder's socket
-    /// is holder-only plain state carried across the handoff
-    /// (SocketHandoffTracker, platform/platform_concept.hpp).
-    static constexpr bool kSocketAware = SocketAwareSelect<Select>;
-
-    bool note_holder_socket() { return holder_socket_.note_handoff(); }
-
-    // ---- waiting-mode selection (ParkWaiting instantiations only) ----
-
-    /// Park-axis holder state; the empty stand-in keeps SpinWaiting
-    /// object layout (and code) identical to the pre-subsystem lock.
-    struct ParkWaitState {
-        WaitPolicy policy{};
-        std::uint64_t hold_start = 0;  ///< stamped at every acquisition
-        /// Wait-mode transitions published so far. Observability only
-        /// (tests, benchmarks): the *final* hint says nothing about a
-        /// run — a calibrated policy correctly decays back to spin as
-        /// contention drains at the end.
-        std::uint64_t mode_changes = 0;
-    };
-    struct NoWaitState {};
-    using WaitState = std::conditional_t<kParking, ParkWaitState, NoWaitState>;
-
-    /// Every successful acquisition stamps the hold start so the
-    /// departing holder can report its span for free. The stamp also
-    /// closes the release-to-acquire handoff gap — the policy's
-    /// saturation discriminator — but no extra call is needed here: the
-    /// policy recovers the gap from the release-stamped WaitSignal
-    /// (now_cycles - hold_cycles = this stamp).
-    void stamp_hold()
-    {
-        if constexpr (kParking)
-            wstate_.hold_start = P::now();
-    }
-
-    /// A slow-path winner reports how it waited. Called only once the
-    /// caller *is* the holder, so feeding the measured samples to the
-    /// (single-writer) wait policy is in-consensus.
-    void note_waited(const AwaitResult& wr)
-    {
-        if constexpr (kParking) {
-            if constexpr (requires(std::uint64_t c) {
-                              wstate_.policy.note_wait(c);
-                          }) {
-                if (wr.wait_cycles != 0)
-                    wstate_.policy.note_wait(wr.wait_cycles);
-            }
-            if (!wr.blocked)
-                return;
-            if (wr.wake_latency != 0)
-                wstate_.policy.note_wake_latency(wr.wake_latency);
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const auto m = static_cast<std::uint8_t>(
-                        unpack_wait_hint(wsite_.hint()).mode);
-                    trace::emit(trace::EventType::kPark,
-                                trace::ObjectClass::kLock, trace_id_, m, m,
-                                P::now(), wr.wait_cycles, wr.wake_latency);
-                }
-            }
-        }
-    }
-
-    /// Departing holder (still in consensus): fold this hold's span and
-    /// the free queue-depth signal into the wait policy, publish the new
-    /// hint, and mirror the signal into a wait-aware protocol policy.
-    void update_wait_policy()
-    {
-        if constexpr (kParking) {
-            WaitSignal ws;
-            const std::uint64_t now = P::now();
-            ws.hold_cycles =
-                now > wstate_.hold_start ? now - wstate_.hold_start : 0;
-            ws.queue_depth = wsite_.waiters();
-            ws.now_cycles = now;
-            const auto old_mode = static_cast<std::uint8_t>(
-                unpack_wait_hint(wstate_.policy.hint()).mode);
-            const std::uint32_t h = wstate_.policy.on_release(ws);
-            const auto new_mode =
-                static_cast<std::uint8_t>(unpack_wait_hint(h).mode);
-            if (new_mode != old_mode)
-                ++wstate_.mode_changes;
-            wsite_.set_hint(h);
-            if constexpr (requires(std::uint32_t x) {
-                              queue_.set_wait_hint(x);
-                          })
-                queue_.set_wait_hint(h);
-            if constexpr (WaitAwareSelect<Select>)
-                select_.on_wait_signal(ws);
-            if constexpr (trace::kCompiled) {
-                if (new_mode != old_mode && trace::enabled()) [[unlikely]] {
-                    std::uint64_t ests = 0;
-                    std::uint64_t ew = 0;
-                    if constexpr (requires {
-                                      wstate_.policy.hold_estimate();
-                                      wstate_.policy.block_estimate();
-                                      wstate_.policy.expected_wait();
-                                  }) {
-                        ests = (wstate_.policy.hold_estimate() << 32) |
-                               (wstate_.policy.block_estimate() &
-                                0xffffffffull);
-                        ew = wstate_.policy.expected_wait();
-                    }
-                    trace::emit(trace::EventType::kWaitModeSwitch,
-                                trace::ObjectClass::kLock, trace_id_,
-                                old_mode, new_mode, P::now(), h, ests, ew);
-                }
-            }
-        }
-    }
-
-    /// Bookkeeping common to every successful TTS acquisition; the
-    /// caller holds the lock, so policy state is safe to touch. A
-    /// latency sample is passed only when its class is clean: an
-    /// immediate win measures the uncontended protocol cost, a
-    /// past-the-retry-limit win measures the contended cost. Wins that
-    /// merely spun a while measure *waiting*, which would poison the
-    /// estimator's residuals (see cost_model.hpp).
-    ReleaseMode tts_acquired(bool contended, bool spun, std::uint64_t start)
-    {
-        stamp_hold();
-        const ProtocolSignal sig{kTtsIndex, contended ? +1 : 0};
-        const trace::ProbeWatch<Select> probe(select_, trace::enabled());
-        [[maybe_unused]] std::uint64_t cycles = 0;
-        std::uint32_t next;
-        if constexpr (kCalibrating) {
-            if (contended || !spun) {
-                cycles = P::now() - start;
-                if constexpr (kSocketAware)
-                    next = select_.next_protocol(sig, cycles,
-                                                 note_holder_socket());
-                else
-                    next = select_.next_protocol(sig, cycles);
-            } else {
-                if constexpr (kSocketAware)
-                    (void)note_holder_socket();  // still a new holder
-                next = select_.next_protocol(sig);
-            }
-        } else {
-            (void)spun;
-            (void)start;
-            next = select_.next_protocol(sig);
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]] {
-                const std::uint64_t ts = P::now();
-                trace::emit(trace::EventType::kAcqSample,
-                            trace::ObjectClass::kLock, trace_id_,
-                            kTtsIndex, static_cast<std::uint8_t>(next), ts,
-                            cycles,
-                            trace::pack_signal(sig.protocol, sig.drift));
-                probe.emit_edges(select_, trace::ObjectClass::kLock,
-                                 trace_id_, kTtsIndex,
-                                 static_cast<std::uint8_t>(next), ts);
-                if constexpr (kCalibrating) {
-                    if (cycles > 0) {
-                        if (const auto best = audit::best_alternative(
-                                select_, kProtocols)) {
-                            const std::uint64_t regret = audit::record(
-                                trace::ObjectClass::kLock, trace_id_,
-                                cycles, *best);
-                            trace::emit(trace::EventType::kRegret,
-                                        trace::ObjectClass::kLock,
-                                        trace_id_, kTtsIndex,
-                                        static_cast<std::uint8_t>(next),
-                                        ts, cycles, *best, regret);
-                        }
-                    }
-                }
-            }
-        }
-        return next != kTtsIndex ? ReleaseMode::kTtsToQueue
-                                 : ReleaseMode::kTts;
-    }
 
     /// Figure 3.28 acquire_tts: spin with backoff, count failed
     /// attempts; returns nullopt if the mode changed (caller retries
@@ -528,14 +296,14 @@ class ReactiveLock {
     /// paces the spin-mode loop.)
     std::optional<ReleaseMode> try_acquire_tts()
     {
-        const std::uint64_t start = kCalibrating ? P::now() : 0;
+        const std::uint64_t start = monitor_.sample_start();
         if constexpr (kParking) {
             ExpBackoff<P> backoff(params_.backoff);
             std::uint32_t retries = 0;
             std::uint32_t polls = 0;
             bool won = false;
             bool aborted = false;
-            const AwaitResult wr = wsite_.await([&] {
+            const AwaitResult wr = monitor_.site().await([&] {
                 ++polls;
                 if (tts_lock_.load(std::memory_order_relaxed) == kFree) {
                     if (tts_lock_.exchange(kBusy,
@@ -557,7 +325,7 @@ class ReactiveLock {
                 (void)aborted;
                 return std::nullopt;
             }
-            note_waited(wr);
+            monitor_.waited(wr);
             return tts_acquired(retries > params_.tts_retry_limit,
                                 /*spun=*/polls > 1, start);
         } else {
@@ -583,52 +351,22 @@ class ReactiveLock {
         }
     }
 
-    /// Queue-side twin of tts_acquired.
+    /// Bookkeeping common to every successful TTS acquisition (the
+    /// caller holds the lock). Only immediate and past-the-retry-limit
+    /// wins are clean cost samples.
+    ReleaseMode tts_acquired(bool contended, bool spun, std::uint64_t start)
+    {
+        const std::uint32_t next = monitor_.acquired(
+            {kTtsIndex, contended ? +1 : 0}, contended || !spun, start);
+        return next != kTtsIndex ? ReleaseMode::kTtsToQueue
+                                 : ReleaseMode::kTts;
+    }
+
+    /// Queue-side twin of tts_acquired; every queue win is clean.
     ReleaseMode queue_acquired(bool empty, std::uint64_t start)
     {
-        stamp_hold();
-        const ProtocolSignal sig{kQueueIndex, empty ? -1 : 0};
-        const trace::ProbeWatch<Select> probe(select_, trace::enabled());
-        [[maybe_unused]] std::uint64_t cycles = 0;
-        std::uint32_t next;
-        if constexpr (kCalibrating) {
-            cycles = P::now() - start;
-            if constexpr (kSocketAware)
-                next = select_.next_protocol(sig, cycles,
-                                             note_holder_socket());
-            else
-                next = select_.next_protocol(sig, cycles);
-        } else {
-            next = select_.next_protocol(sig);
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]] {
-                const std::uint64_t ts = P::now();
-                trace::emit(trace::EventType::kAcqSample,
-                            trace::ObjectClass::kLock, trace_id_,
-                            kQueueIndex, static_cast<std::uint8_t>(next), ts,
-                            cycles,
-                            trace::pack_signal(sig.protocol, sig.drift));
-                probe.emit_edges(select_, trace::ObjectClass::kLock,
-                                 trace_id_, kQueueIndex,
-                                 static_cast<std::uint8_t>(next), ts);
-                if constexpr (kCalibrating) {
-                    if (cycles > 0) {
-                        if (const auto best = audit::best_alternative(
-                                select_, kProtocols)) {
-                            const std::uint64_t regret = audit::record(
-                                trace::ObjectClass::kLock, trace_id_,
-                                cycles, *best);
-                            trace::emit(trace::EventType::kRegret,
-                                        trace::ObjectClass::kLock,
-                                        trace_id_, kQueueIndex,
-                                        static_cast<std::uint8_t>(next),
-                                        ts, cycles, *best, regret);
-                        }
-                    }
-                }
-            }
-        }
+        const std::uint32_t next =
+            monitor_.acquired({kQueueIndex, empty ? -1 : 0}, true, start);
         return next != kQueueIndex ? ReleaseMode::kQueueToTts
                                    : ReleaseMode::kQueue;
     }
@@ -646,20 +384,20 @@ class ReactiveLock {
     /// (or became) invalid — retry with TTS.
     std::optional<ReleaseMode> try_acquire_queue(Node& node)
     {
-        const std::uint64_t start = kCalibrating ? P::now() : 0;
+        const std::uint64_t start = monitor_.sample_start();
         typename Queue::Outcome oc;
         if constexpr (kParking && requires(AwaitResult& wr) {
-                          queue_.acquire(node, wsite_, wr);
+                          queue_.acquire(node, monitor_.site(), wr);
                       }) {
             AwaitResult wr;
-            oc = queue_.acquire(node, wsite_, wr);
+            oc = queue_.acquire(node, monitor_.site(), wr);
             if (oc == Queue::Outcome::kAcquiredWaited)
-                note_waited(wr);
+                monitor_.waited(wr);
             else if (oc == Queue::Outcome::kInvalid)
                 // Our enqueue landed on an invalid tail: acquire()
                 // dismantled the bogus chain we headed, storing kInvalid
                 // into nodes whose owners may be parked on this site.
-                wsite_.wake_all();
+                monitor_.site().wake_all();
         } else if constexpr (kParking && requires(AwaitResult& wr) {
                                  queue_.acquire(node, wr);
                              }) {
@@ -669,7 +407,7 @@ class ReactiveLock {
             AwaitResult wr;
             oc = queue_.acquire(node, wr);
             if (oc == Queue::Outcome::kAcquiredWaited)
-                note_waited(wr);
+                monitor_.waited(wr);
         } else {
             oc = queue_.acquire(node);
         }
@@ -695,59 +433,26 @@ class ReactiveLock {
     /// lock is left busy (= invalid).
     void release_tts_to_queue(Node& node)
     {
-        const std::uint64_t start = kCalibrating ? P::now() : 0;
+        const std::uint64_t start = monitor_.sample_start();
         queue_.acquire_invalid(node);
         mode_.value.store(static_cast<std::uint32_t>(Mode::kQueue),
                           std::memory_order_release);
-        ++protocol_changes_;
-        select_.on_switch();
-        [[maybe_unused]] std::uint64_t dur = 0;
-        if constexpr (kCalibrating) {
-            dur = P::now() - start;
-            select_.on_switch_cycles(dur);
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]]
-                trace::emit(trace::EventType::kSwitch,
-                            trace::ObjectClass::kLock, trace_id_, kTtsIndex,
-                            kQueueIndex, P::now(),
-                            trace::pack_signal(kTtsIndex, +1),
-                            trace::estimator_pair(select_, kTtsIndex,
-                                                  kQueueIndex),
-                            dur);
-        }
+        monitor_.switched(kTtsIndex, kQueueIndex, +1, start);
         queue_.release(node);
     }
 
     /// Figure 3.29 release_queue_to_tts: flip the hint, dismantle the
     /// queue (waking waiters with INVALID so they retry via TTS), then
-    /// free the TTS lock. The queue is left invalid.
+    /// free the TTS lock. The queue is left invalid. Still in consensus
+    /// until the TTS word is freed; the measured span covers the queue
+    /// dismantling (the expensive half of this direction's change).
     void release_queue_to_tts(Node& node)
     {
-        const std::uint64_t start = kCalibrating ? P::now() : 0;
+        const std::uint64_t start = monitor_.sample_start();
         mode_.value.store(static_cast<std::uint32_t>(Mode::kTts),
                           std::memory_order_release);
-        ++protocol_changes_;
-        select_.on_switch();
-        queue_.invalidate(&node);
-        // Still in consensus until the TTS word is freed below; the
-        // measured span covers the queue dismantling (the expensive
-        // half of this direction's change).
-        [[maybe_unused]] std::uint64_t dur = 0;
-        if constexpr (kCalibrating) {
-            dur = P::now() - start;
-            select_.on_switch_cycles(dur);
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]]
-                trace::emit(trace::EventType::kSwitch,
-                            trace::ObjectClass::kLock, trace_id_,
-                            kQueueIndex, kTtsIndex, P::now(),
-                            trace::pack_signal(kQueueIndex, -1),
-                            trace::estimator_pair(select_, kQueueIndex,
-                                                  kTtsIndex),
-                            dur);
-        }
+        monitor_.switched(kQueueIndex, kTtsIndex, -1, start,
+                          [&] { queue_.invalidate(&node); });
         release_tts();
     }
 
@@ -759,18 +464,9 @@ class ReactiveLock {
     Queue queue_;
 
     ReactiveLockParams params_;
-    Select select_;                        // mutated in-consensus only
-    std::uint64_t protocol_changes_ = 0;   // mutated in-consensus only
-    // Socket of the previous holder (socket-aware policies only;
-    // mutated in-consensus by each new holder).
-    SocketHandoffTracker<P> holder_socket_;
-    // Waiting axis: the object-level parking site and the holder-only
-    // wait-policy state. Both are empty under SpinWaiting.
-    [[no_unique_address]] Site wsite_;
-    [[no_unique_address]] WaitState wstate_;
-    // Trace identity (0 when tracing is compiled out). Unconditional
-    // member so object layout is identical in both build modes.
-    std::uint32_t trace_id_ = trace::new_object(trace::ObjectClass::kLock);
+    // Policy, socket tracker, wait site and trace identity: touched
+    // in-consensus only (the site also by waiters).
+    Monitor monitor_;
 };
 
 }  // namespace reactive

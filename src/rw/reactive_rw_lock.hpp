@@ -38,11 +38,11 @@
  *    a writer or a single reader, which frees the word on leaving; a
  *    race lost to a reader is reader traffic of the same kind). More
  *    than `write_retry_limit` lost races and crowd rounds in one
- *    acquisition mark it contended (fed to `Policy::on_tts_acquire`);
- *    drain waits are not counted, because reader occupancy alone is
- *    not contention. In queue mode the signal is the mutex's:
- *    empty-queue acquisitions (`Policy::on_queue_acquire`). So all
- *    three switching policies of core/policy.hpp apply unchanged.
+ *    acquisition mark it contended (drift +1 on protocol 0, the TTS
+ *    role); drain waits are not counted, because reader occupancy
+ *    alone is not contention. In queue mode the signal is the mutex's:
+ *    empty-queue acquisitions (drift -1 on protocol 1). So all three
+ *    switching policies of core/policy.hpp apply unchanged.
  *
  * The release token rides inside the Node, so ReactiveRwLock satisfies
  * the plain RwLock concept and is a drop-in replacement for either
@@ -68,17 +68,14 @@
 #include <optional>
 #include <type_traits>
 
-#include "audit/audit.hpp"
-#include "core/cost_model.hpp"
+#include "core/consensus_monitor.hpp"
 #include "core/policy.hpp"
-#include "core/protocol_set.hpp"
 #include "platform/backoff.hpp"
 #include "platform/cache_line.hpp"
 #include "platform/platform_concept.hpp"
 #include "rw/queue_rw_lock.hpp"
 #include "rw/rw_concepts.hpp"
 #include "rw/simple_rw_lock.hpp"
-#include "trace/instrument.hpp"
 #include "waiting/reactive/wait_site.hpp"
 
 namespace reactive {
@@ -101,11 +98,11 @@ struct ReactiveRwLockParams {
  * Reactive reader-writer lock selecting between the centralized and
  * queue protocols.
  *
- * Policy decisions flow through the N-protocol selection framework
- * (core/protocol_set.hpp), with the writer-side signals mapped to the
- * two-slot set {simple, queue}: binary SwitchPolicy policies embed via
- * SelectAdapter with their historical call sequence (bit-compatible
- * decisions), and Mode values are the protocol indices.
+ * Policy decisions (core/policy.hpp) see the writer-side signals on the
+ * two-slot set {simple, queue}, and Mode values are the protocol
+ * indices. The writer's consensus-point bookkeeping runs through the
+ * shared ConsensusMonitor (core/consensus_monitor.hpp), the same
+ * pipeline as the reactive mutex's.
  *
  * The second, orthogonal selection axis is *how to wait*
  * (waiting/reactive/): with Waiting = ParkWaiting the slow paths of
@@ -120,9 +117,9 @@ struct ReactiveRwLockParams {
  * releases), so a parked waiter is always re-checked awake.
  *
  * @tparam P          Platform model.
- * @tparam Policy     switching policy (Section 3.4): a binary
- *                    SwitchPolicy or a two-protocol SelectPolicy;
- *                    shared with the reactive mutex.
+ * @tparam Policy     selection policy (Section 3.4; core/policy.hpp)
+ *                    for the two-protocol set; shared with the
+ *                    reactive mutex.
  * @tparam Waiting    SpinWaiting (default; byte-identical to the
  *                    pre-subsystem lock) or ParkWaiting.
  * @tparam WaitPolicy WaitSelectPolicy choosing the waiting mode
@@ -133,12 +130,8 @@ template <Platform P, typename Policy = AlwaysSwitchPolicy,
           typename WaitPolicy = CalibratedWaitPolicy>
 class ReactiveRwLock {
   public:
-    /// The select-interface view of the policy parameter.
-    using Select = SelectFor<Policy>;
     /// The rwlock's protocol set is fixed: {simple, MCS-style queue}.
     static constexpr std::uint32_t kProtocols = 2;
-
-    static_assert(SelectPolicy<Select>);
 
     /// Protocol index currently servicing requests (the hint
     /// variable), under the set's conventional names.
@@ -159,12 +152,13 @@ class ReactiveRwLock {
         ReleaseMode rm{ReleaseMode::kSimple};
     };
 
-    /// The lock-level waiting site for this Waiting tag.
-    using Site = WaitSite<P, Waiting>;
-    /// Whether slow-path waits may park (ParkWaiting instantiations).
-    static constexpr bool kParking = Site::kParking;
+  private:
+    using Monitor = ConsensusMonitor<P, Policy, kProtocols, Waiting,
+                                     WaitPolicy, trace::ObjectClass::kRwLock>;
 
-    static_assert(WaitSelectPolicy<WaitPolicy>);
+  public:
+    /// Whether slow-path waits may park (ParkWaiting instantiations).
+    static constexpr bool kParking = Monitor::kParking;
 
     ReactiveRwLock() : ReactiveRwLock(ReactiveRwLockParams{}, Policy{}) {}
 
@@ -172,7 +166,7 @@ class ReactiveRwLock {
                             Policy policy = Policy{})
         : queue_(/*initially_valid=*/false),
           params_(params),
-          select_(std::move(policy))
+          monitor_(std::move(policy))
     {
         // Initial state: simple valid and free, queue invalid,
         // mode = simple (the low-contention protocol, as in Figure 3.27).
@@ -220,7 +214,7 @@ class ReactiveRwLock {
             queue_.end_read(n.qnode);
         // A leaving reader may free the simple word for a parked
         // writer, or (last of its group) grant the queue's next writer.
-        wake_waiters();
+        monitor_.wake();
     }
 
     void lock_write(Node& n)
@@ -230,22 +224,13 @@ class ReactiveRwLock {
         // read-polled first: a rwlock word is often held by readers,
         // and a blind compare&swap would steal their line only to
         // fail. As in the reactive mutex, the fast path performs no
-        // monitoring: an uncontended win says nothing reliable and
-        // would break streaks that spinning acquirers are building.
-        // Fast-path-aware policies get the traffic-free won-here
-        // notification (the writer holds full exclusivity, so the
-        // increment is in-consensus). Reader fast paths never touch
-        // policy state — readers hold no exclusivity.
+        // monitoring (ConsensusMonitor::fast_acquired); the writer holds
+        // full exclusivity, so its bookkeeping is in-consensus. Reader
+        // fast paths never touch policy state — readers hold no
+        // exclusivity.
         if (params_.optimistic_simple &&
             simple_.poll_write().attempt == Attempt::kAcquired) {
-            if constexpr (FastPathAwareSelect<Select>)
-                select_.on_tts_fast_acquire();
-            if constexpr (kSocketAware)
-                (void)note_writer_socket();  // still the new writer
-            stamp_hold();
-            REACTIVE_TRACE_EVENT(trace::EventType::kFastAcquire,
-                                 trace::ObjectClass::kRwLock, trace_id_,
-                                 kSimpleIndex, kSimpleIndex, P::now());
+            monitor_.fast_acquired(kSimpleIndex);
             n.rm = ReleaseMode::kSimple;
             return;
         }
@@ -270,10 +255,9 @@ class ReactiveRwLock {
     void unlock_write(Node& n)
     {
         // Waiting-mode selection happens first, while still holding
-        // full exclusivity: fold this hold's span and the free
-        // queue-depth signal into the wait policy and publish the new
-        // hint, so the waiters this release signals dispatch under it.
-        update_wait_policy();
+        // full exclusivity, so the waiters this release signals
+        // dispatch under the new hint.
+        monitor_.released();
         switch (n.rm) {
         case ReleaseMode::kSimple:
             simple_.unlock_write();
@@ -291,7 +275,7 @@ class ReactiveRwLock {
         // Parking wake rule: every condition-changing store above
         // (simple word free, queue grant, mode flip, invalidation walk)
         // is followed here, in the same thread, by a site broadcast.
-        wake_waiters();
+        monitor_.wake();
     }
 
     // ---- std-facade hooks (one-shot tries; see reactive_shared_mutex)
@@ -307,15 +291,13 @@ class ReactiveRwLock {
     {
         if (simple_.try_lock_write() ==
             SimpleRwLock<P>::Attempt::kAcquired) {
-            if constexpr (FastPathAwareSelect<Select>)
-                select_.on_tts_fast_acquire();
-            stamp_hold();
+            monitor_.fast_acquired(kSimpleIndex);
             n.rm = ReleaseMode::kSimple;
             return true;
         }
         if (mode() == Mode::kQueue &&
             queue_.try_start_write(n.qnode) != QueueRwLock<P>::Outcome::kInvalid) {
-            stamp_hold();
+            monitor_.fast_acquired(kQueueIndex);
             n.rm = ReleaseMode::kQueue;
             return true;
         }
@@ -335,7 +317,7 @@ class ReactiveRwLock {
             queue_.try_start_read(n.qnode) != QueueRwLock<P>::Outcome::kInvalid) {
             // The empty-tail win may have propagated a grant to a
             // parked successor reader.
-            wake_waiters();
+            monitor_.wake();
             n.rm = ReleaseMode::kQueue;
             return true;
         }
@@ -354,28 +336,23 @@ class ReactiveRwLock {
     Mode mode() const { return static_cast<Mode>(protocol_index()); }
 
     /// Number of completed protocol changes.
-    std::uint64_t protocol_changes() const { return protocol_changes_; }
-
-    /// Policy state access (in-consensus callers only). Returns the
-    /// policy as passed in (binary policies are unwrapped from their
-    /// adapter).
-    Policy& policy()
+    std::uint64_t protocol_changes() const
     {
-        if constexpr (SelectPolicy<Policy>)
-            return select_;
-        else
-            return select_.underlying();
+        return monitor_.protocol_changes();
     }
+
+    /// Policy state access (in-consensus callers only).
+    Policy& policy() { return monitor_.select(); }
 
     /// Wait-policy state access (in-consensus callers only).
     WaitPolicy& wait_policy()
         requires kParking
     {
-        return wstate_.policy;
+        return monitor_.wait_policy();
     }
 
     /// The packed wait hint currently published to waiters (tests).
-    std::uint32_t wait_hint() const { return wsite_.hint(); }
+    std::uint32_t wait_hint() const { return monitor_.site().hint(); }
 
   private:
     using Attempt = typename SimpleRwLock<P>::Attempt;
@@ -391,21 +368,6 @@ class ReactiveRwLock {
     /// reader the word frees when it leaves — so polls behind fewer
     /// readers are plain drain waits and are not counted.
     static constexpr std::uint32_t kReaderCrowd = 2;
-
-    /// Calibrating policies (core/cost_model.hpp) receive each
-    /// slow-path *write* acquisition's measured latency and each
-    /// switch's measured duration. Readers never feed the policy, so
-    /// they are never timed; plain policies never are either.
-    static constexpr bool kCalibrating = CalibratingSelectPolicy<Select>;
-
-    /// Socket-aware policies also receive the socket-of-previous-
-    /// *writer* bit (readers neither feed the policy nor hand off the
-    /// write-side lines), splitting the write-latency classes by
-    /// handoff locality (SocketHandoffTracker; writer-only, full
-    /// exclusivity, no timestamp).
-    static constexpr bool kSocketAware = SocketAwareSelect<Select>;
-
-    bool note_writer_socket() { return writer_socket_.note_handoff(); }
 
     /// Simple-protocol read acquisition: spin with backoff while a
     /// writer is inside; false if the protocol was retired or the hint
@@ -423,7 +385,7 @@ class ReactiveRwLock {
             // try_acquire_tts in reactive_lock.hpp).
             ExpBackoff<P> backoff(params_.backoff);
             bool acquired = false;
-            const AwaitResult wr = wsite_.await([&] {
+            const AwaitResult wr = monitor_.site().await([&] {
                 switch (simple_.try_lock_read()) {
                 case Attempt::kAcquired:
                     acquired = true;
@@ -436,7 +398,7 @@ class ReactiveRwLock {
                 return mode_.value.load(std::memory_order_relaxed) !=
                        static_cast<std::uint32_t>(Mode::kSimple);
             }, [&] { backoff.pause(); });
-            note_read_waited(wr);
+            (void)monitor_.parked(wr);
             return acquired;
         } else {
             ExpBackoff<P> backoff(params_.backoff);
@@ -466,11 +428,12 @@ class ReactiveRwLock {
     {
         if constexpr (kParking) {
             AwaitResult wr{};
-            const QOutcome out = queue_.start_read(n.qnode, wsite_, wr);
+            const QOutcome out =
+                queue_.start_read(n.qnode, monitor_.site(), wr);
             // Success may have propagated a grant; failure dismantled a
             // bogus chain, storing INVALID into parked waiters.
-            wake_waiters();
-            note_read_waited(wr);
+            monitor_.wake();
+            (void)monitor_.parked(wr);
             return out;
         } else {
             return queue_.start_read(n.qnode);
@@ -490,12 +453,12 @@ class ReactiveRwLock {
     /// caller then holds full exclusivity, so policy state is safe to
     /// touch). Parking instantiations run the attempt loop as the site
     /// predicate (abortable acquiring predicate, as in the reactive
-    /// mutex's TTS slow path); the winner then reports its measured
-    /// wake latency — it holds full exclusivity, so the single-writer
-    /// wait policy is safe to feed.
+    /// mutex's TTS slow path); the winner then reports how it waited —
+    /// it holds full exclusivity, so the single-writer wait policy is
+    /// safe to feed.
     std::optional<ReleaseMode> try_write_simple()
     {
-        const std::uint64_t start = kCalibrating ? P::now() : 0;
+        const std::uint64_t start = monitor_.sample_start();
         std::uint32_t retries = 0;
         bool acquired = false;
         bool draining = false;  // the last poll saw one reader inside
@@ -520,14 +483,14 @@ class ReactiveRwLock {
                 backoff.pause();
         };
         if constexpr (kParking) {
-            const AwaitResult wr = wsite_.await([&] {
+            const AwaitResult wr = monitor_.site().await([&] {
                 return poll() ||
                        mode_.value.load(std::memory_order_relaxed) !=
                            static_cast<std::uint32_t>(Mode::kSimple);
             }, pace);
             if (!acquired)
                 return std::nullopt;
-            note_write_waited(wr);
+            monitor_.waited(wr);
         } else {
             while (!poll()) {
                 pace();
@@ -542,63 +505,16 @@ class ReactiveRwLock {
     }
 
     /// Bookkeeping common to every successful simple-protocol write
-    /// acquisition (the caller holds full exclusivity).
+    /// acquisition (the caller holds full exclusivity). Only immediate
+    /// and past-the-retry-limit wins are clean cost samples; mid-spin
+    /// wins measure waiting, not protocol cost (see cost_model.hpp).
     ReleaseMode write_simple_acquired(std::uint32_t retries,
                                       std::uint64_t start)
     {
-        stamp_hold();
         const bool contended = retries > params_.write_retry_limit;
-        const ProtocolSignal sig{kSimpleIndex, contended ? +1 : 0};
-        const trace::ProbeWatch<Select> probe(select_, trace::enabled());
-        [[maybe_unused]] std::uint64_t cycles = 0;
-        std::uint32_t next;
-        if constexpr (kCalibrating) {
-            // Sample only clean classes (immediate or past the retry
-            // limit); mid-spin wins measure waiting, not protocol cost
-            // (see cost_model.hpp).
-            if (contended || retries == 0) {
-                cycles = P::now() - start;
-                if constexpr (kSocketAware)
-                    next = select_.next_protocol(sig, cycles,
-                                                 note_writer_socket());
-                else
-                    next = select_.next_protocol(sig, cycles);
-            } else {
-                if constexpr (kSocketAware)
-                    (void)note_writer_socket();
-                next = select_.next_protocol(sig);
-            }
-        } else {
-            next = select_.next_protocol(sig);
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]] {
-                const std::uint64_t ts = P::now();
-                trace::emit(trace::EventType::kAcqSample,
-                            trace::ObjectClass::kRwLock, trace_id_,
-                            kSimpleIndex, static_cast<std::uint8_t>(next),
-                            ts, cycles,
-                            trace::pack_signal(sig.protocol, sig.drift));
-                probe.emit_edges(select_, trace::ObjectClass::kRwLock,
-                                 trace_id_, kSimpleIndex,
-                                 static_cast<std::uint8_t>(next), ts);
-                if constexpr (kCalibrating) {
-                    if (cycles > 0) {
-                        if (const auto best = audit::best_alternative(
-                                select_, kProtocols)) {
-                            const std::uint64_t regret = audit::record(
-                                trace::ObjectClass::kRwLock, trace_id_,
-                                cycles, *best);
-                            trace::emit(trace::EventType::kRegret,
-                                        trace::ObjectClass::kRwLock,
-                                        trace_id_, kSimpleIndex,
-                                        static_cast<std::uint8_t>(next),
-                                        ts, cycles, *best, regret);
-                        }
-                    }
-                }
-            }
-        }
+        const std::uint32_t next = monitor_.acquired(
+            {kSimpleIndex, contended ? +1 : 0}, contended || retries == 0,
+            start);
         return next != kSimpleIndex ? ReleaseMode::kSimpleToQueue
                                     : ReleaseMode::kSimple;
     }
@@ -607,67 +523,26 @@ class ReactiveRwLock {
     /// contention. nullopt when the protocol was retired.
     std::optional<ReleaseMode> try_write_queue(Node& n)
     {
-        const std::uint64_t start = kCalibrating ? P::now() : 0;
+        const std::uint64_t start = monitor_.sample_start();
         QOutcome outcome;
         if constexpr (kParking) {
             AwaitResult wr{};
-            outcome = queue_.start_write(n.qnode, wsite_, wr);
+            outcome = queue_.start_write(n.qnode, monitor_.site(), wr);
             if (outcome == QOutcome::kInvalid) {
                 // Enqueuing onto a retired tail dismantles the bogus
                 // chain we headed, storing INVALID into parked waiters.
-                wake_waiters();
+                monitor_.wake();
                 return std::nullopt;
             }
-            note_write_waited(wr);
+            monitor_.waited(wr);
         } else {
             outcome = queue_.start_write(n.qnode);
             if (outcome == QOutcome::kInvalid)
                 return std::nullopt;
         }
-        stamp_hold();
         const bool empty = outcome == QOutcome::kAcquiredEmpty;
-        const ProtocolSignal sig{kQueueIndex, empty ? -1 : 0};
-        const trace::ProbeWatch<Select> probe(select_, trace::enabled());
-        [[maybe_unused]] std::uint64_t cycles = 0;
-        std::uint32_t next;
-        if constexpr (kCalibrating) {
-            cycles = P::now() - start;
-            if constexpr (kSocketAware)
-                next =
-                    select_.next_protocol(sig, cycles, note_writer_socket());
-            else
-                next = select_.next_protocol(sig, cycles);
-        } else {
-            next = select_.next_protocol(sig);
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]] {
-                const std::uint64_t ts = P::now();
-                trace::emit(trace::EventType::kAcqSample,
-                            trace::ObjectClass::kRwLock, trace_id_,
-                            kQueueIndex, static_cast<std::uint8_t>(next), ts,
-                            cycles,
-                            trace::pack_signal(sig.protocol, sig.drift));
-                probe.emit_edges(select_, trace::ObjectClass::kRwLock,
-                                 trace_id_, kQueueIndex,
-                                 static_cast<std::uint8_t>(next), ts);
-                if constexpr (kCalibrating) {
-                    if (cycles > 0) {
-                        if (const auto best = audit::best_alternative(
-                                select_, kProtocols)) {
-                            const std::uint64_t regret = audit::record(
-                                trace::ObjectClass::kRwLock, trace_id_,
-                                cycles, *best);
-                            trace::emit(trace::EventType::kRegret,
-                                        trace::ObjectClass::kRwLock,
-                                        trace_id_, kQueueIndex,
-                                        static_cast<std::uint8_t>(next),
-                                        ts, cycles, *best, regret);
-                        }
-                    }
-                }
-            }
-        }
+        const std::uint32_t next =
+            monitor_.acquired({kQueueIndex, empty ? -1 : 0}, true, start);
         return next != kQueueIndex ? ReleaseMode::kQueueToSimple
                                    : ReleaseMode::kQueue;
     }
@@ -677,177 +552,27 @@ class ReactiveRwLock {
     /// the queue. Mirrors release_tts_to_queue (Figure 3.29).
     void release_simple_to_queue(Node& n)
     {
-        const std::uint64_t start = kCalibrating ? P::now() : 0;
+        const std::uint64_t start = monitor_.sample_start();
         queue_.acquire_invalid_write(n.qnode);
         simple_.invalidate_from_writer();
         mode_.value.store(static_cast<std::uint32_t>(Mode::kQueue),
                           std::memory_order_release);
-        ++protocol_changes_;
-        select_.on_switch();
-        [[maybe_unused]] std::uint64_t dur = 0;
-        if constexpr (kCalibrating) {
-            dur = P::now() - start;
-            select_.on_switch_cycles(dur);
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]]
-                trace::emit(trace::EventType::kSwitch,
-                            trace::ObjectClass::kRwLock, trace_id_,
-                            kSimpleIndex, kQueueIndex, P::now(),
-                            trace::pack_signal(kSimpleIndex, +1),
-                            trace::estimator_pair(select_, kSimpleIndex,
-                                                  kQueueIndex),
-                            dur);
-        }
+        monitor_.switched(kSimpleIndex, kQueueIndex, +1, start);
         queue_.end_write(n.qnode);
     }
 
     /// The holding writer flips the hint, dismantles the queue (waking
     /// waiters with INVALID so they retry via the simple protocol), and
-    /// validates + frees the simple word. Mirrors release_queue_to_tts.
+    /// validates + frees the simple word. Mirrors release_queue_to_tts;
+    /// still in consensus until validate_free() publishes the word.
     void release_queue_to_simple(Node& n)
     {
-        const std::uint64_t start = kCalibrating ? P::now() : 0;
+        const std::uint64_t start = monitor_.sample_start();
         mode_.value.store(static_cast<std::uint32_t>(Mode::kSimple),
                           std::memory_order_release);
-        ++protocol_changes_;
-        select_.on_switch();
-        queue_.invalidate(&n.qnode);
-        // Still in consensus until validate_free() publishes the word.
-        [[maybe_unused]] std::uint64_t dur = 0;
-        if constexpr (kCalibrating) {
-            dur = P::now() - start;
-            select_.on_switch_cycles(dur);
-        }
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]]
-                trace::emit(trace::EventType::kSwitch,
-                            trace::ObjectClass::kRwLock, trace_id_,
-                            kQueueIndex, kSimpleIndex, P::now(),
-                            trace::pack_signal(kQueueIndex, -1),
-                            trace::estimator_pair(select_, kQueueIndex,
-                                                  kSimpleIndex),
-                            dur);
-        }
+        monitor_.switched(kQueueIndex, kSimpleIndex, -1, start,
+                          [&] { queue_.invalidate(&n.qnode); });
         simple_.validate_free();
-    }
-
-    // ---- waiting-mode selection (ParkWaiting instantiations only) ----
-
-    /// Park-axis writer state; the empty stand-in keeps SpinWaiting
-    /// object layout (and code) identical to the pre-subsystem lock.
-    struct ParkWaitState {
-        WaitPolicy policy{};
-        std::uint64_t hold_start = 0;  ///< stamped at every write acquire
-    };
-    struct NoWaitState {};
-    using WaitState = std::conditional_t<kParking, ParkWaitState, NoWaitState>;
-
-    /// Every successful *write* acquisition stamps the hold start so
-    /// the departing writer can report its span for free. Readers hold
-    /// no exclusivity and never stamp.
-    void stamp_hold()
-    {
-        if constexpr (kParking)
-            wstate_.hold_start = P::now();
-    }
-
-    /// Broadcast on the lock-level site (no-op in spin builds). The
-    /// trace counter mirrors the reactive mutex's kWake emission.
-    void wake_waiters()
-    {
-        if constexpr (kParking) {
-            if constexpr (trace::kCompiled) {
-                if (trace::enabled()) [[unlikely]] {
-                    const std::uint32_t w = wsite_.waiters();
-                    if (w > 0)
-                        trace::emit(trace::EventType::kWake,
-                                    trace::ObjectClass::kRwLock, trace_id_,
-                                    0, 0, P::now(), w);
-                }
-            }
-            wsite_.wake_all();
-        }
-    }
-
-    /// A slow-path *writer* reports how it waited. Called only once the
-    /// caller holds full exclusivity, so feeding the measured wake
-    /// latency to the (single-writer) wait policy is in-consensus.
-    void note_write_waited(const AwaitResult& wr)
-    {
-        if constexpr (kParking) {
-            if (!wr.blocked)
-                return;
-            if (wr.wake_latency != 0)
-                wstate_.policy.note_wake_latency(wr.wake_latency);
-            trace_park(wr);
-        }
-    }
-
-    /// A slow-path *reader* reports how it waited: trace only — readers
-    /// are never in consensus, so the wait policy is left untouched.
-    void note_read_waited(const AwaitResult& wr)
-    {
-        if constexpr (kParking) {
-            if (wr.blocked)
-                trace_park(wr);
-        }
-    }
-
-    void trace_park(const AwaitResult& wr)
-    {
-        if constexpr (trace::kCompiled) {
-            if (trace::enabled()) [[unlikely]] {
-                const auto m = static_cast<std::uint8_t>(
-                    unpack_wait_hint(wsite_.hint()).mode);
-                trace::emit(trace::EventType::kPark,
-                            trace::ObjectClass::kRwLock, trace_id_, m, m,
-                            P::now(), wr.wait_cycles, wr.wake_latency);
-            }
-        }
-    }
-
-    /// Departing writer (full exclusivity): fold this hold's span and
-    /// the free queue-depth signal into the wait policy, publish the
-    /// new hint, and mirror the signal into a wait-aware protocol
-    /// policy.
-    void update_wait_policy()
-    {
-        if constexpr (kParking) {
-            WaitSignal ws;
-            const std::uint64_t now = P::now();
-            ws.hold_cycles =
-                now > wstate_.hold_start ? now - wstate_.hold_start : 0;
-            ws.queue_depth = wsite_.waiters();
-            ws.now_cycles = now;
-            const auto old_mode = static_cast<std::uint8_t>(
-                unpack_wait_hint(wstate_.policy.hint()).mode);
-            const std::uint32_t h = wstate_.policy.on_release(ws);
-            const auto new_mode =
-                static_cast<std::uint8_t>(unpack_wait_hint(h).mode);
-            wsite_.set_hint(h);
-            if constexpr (WaitAwareSelect<Select>)
-                select_.on_wait_signal(ws);
-            if constexpr (trace::kCompiled) {
-                if (new_mode != old_mode && trace::enabled()) [[unlikely]] {
-                    std::uint64_t ests = 0;
-                    std::uint64_t ew = 0;
-                    if constexpr (requires {
-                                      wstate_.policy.hold_estimate();
-                                      wstate_.policy.block_estimate();
-                                      wstate_.policy.expected_wait();
-                                  }) {
-                        ests = (wstate_.policy.hold_estimate() << 32) |
-                               (wstate_.policy.block_estimate() &
-                                0xffffffffull);
-                        ew = wstate_.policy.expected_wait();
-                    }
-                    trace::emit(trace::EventType::kWaitModeSwitch,
-                                trace::ObjectClass::kRwLock, trace_id_,
-                                old_mode, new_mode, P::now(), h, ests, ew);
-                }
-            }
-        }
     }
 
     // The mode hint lives on its own (mostly-read) cache line, separate
@@ -857,18 +582,11 @@ class ReactiveRwLock {
     QueueRwLock<P> queue_;
 
     ReactiveRwLockParams params_;
-    Select select_;                       // mutated in-consensus only
-    std::uint64_t protocol_changes_ = 0;  // mutated in-consensus only
-    // Socket of the previous writer (socket-aware policies only;
-    // mutated only by writers, under full exclusivity).
-    SocketHandoffTracker<P> writer_socket_;
-    // Waiting-mode state: both empty (and branch-free above) for
-    // SpinWaiting instantiations.
-    [[no_unique_address]] Site wsite_;
-    [[no_unique_address]] WaitState wstate_;
-    // Trace identity (0 when tracing is compiled out). Unconditional
-    // member so object layout is identical in both build modes.
-    std::uint32_t trace_id_ = trace::new_object(trace::ObjectClass::kRwLock);
+    // Policy, socket tracker (of the previous *writer*: readers neither
+    // feed the policy nor hand off the write-side lines), wait site and
+    // trace identity: touched only by writers under full exclusivity
+    // (the site also by waiters).
+    Monitor monitor_;
 };
 
 }  // namespace reactive

@@ -13,8 +13,9 @@
  *  - Integration: a calibrated lock run emits regret samples whose
  *    count matches the drop-immune metric shard and whose payloads
  *    satisfy regret == max(0, realized - best). This is also the
- *    regression test for SelectAdapter's monitoring passthrough — a
- *    wrapped calibrated policy must not trace as estimate-free.
+ *    regression test for the estimate-free traces the old binary-policy
+ *    adapter produced — a calibrated policy must not trace as
+ *    estimate-free.
  *  - Zero overhead: the same simulated episode stream with audit
  *    runtime-disabled vs enabled produces identical elapsed cycles and
  *    identical machine mem-op counts — the audit-off schedule is
@@ -198,9 +199,8 @@ TEST(AuditIntegrationTest, CalibratedRunMatchesMeterAndEventPayloads)
 
     const audit::Snapshot s = reactive::audit_snapshot();
     const auto& row = s.classes[static_cast<std::size_t>(OC::kLock)];
-    // A wrapped calibrated policy must expose its estimator through
-    // SelectAdapter; zero samples here means the monitoring passthrough
-    // regressed and the whole meter went silently inert.
+    // The calibrated policy's estimator must reach the audit hook; zero
+    // samples here means the meter went silently inert.
     EXPECT_GT(row.samples, 0u);
     EXPECT_GT(row.realized, 0u);
     EXPECT_GE(row.realized, row.regret);

@@ -79,15 +79,17 @@ struct Ladder3Policy : LadderCompetitivePolicy {
 class MetronomePolicy {
   public:
     explicit MetronomePolicy(std::uint32_t k = 3) : k_(k) {}
-    bool on_tts_acquire(bool) { return ++n_ % k_ == 0; }
-    bool on_queue_acquire(bool) { return ++n_ % k_ == 0; }
+    std::uint32_t next_protocol(ProtocolSignal s)
+    {
+        return switch_if(s, ++n_ % k_ == 0);
+    }
     void on_switch() {}
 
   private:
     std::uint32_t k_;
     std::uint32_t n_ = 0;
 };
-static_assert(SwitchPolicy<MetronomePolicy>);
+static_assert(SelectPolicy<MetronomePolicy>);
 
 /// Test-only N-protocol policy that walks the set every @p k episodes
 /// (step +1 cycles up: central -> tree -> dissemination -> central;
@@ -622,8 +624,7 @@ TEST(ReactiveBarrier3Test, ParkedFreeMonitoringBarrierAddsOnlyTheModeRead)
     // in every prior configuration too. The spread path, by contrast,
     // pays stamp traffic every episode.
     struct NeverPolicy {
-        bool on_tts_acquire(bool) { return false; }
-        bool on_queue_acquire(bool) { return false; }
+        std::uint32_t next_protocol(ProtocolSignal s) { return s.protocol; }
         void on_switch() {}
     };
     using Parked = ReactiveBarrier<SimPlatform, NeverPolicy>;

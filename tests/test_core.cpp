@@ -16,6 +16,7 @@
 #include "core/reactive_mutex.hpp"
 #include "core/reactive_queue.hpp"
 #include "platform/native_platform.hpp"
+#include "policy_observations.hpp"
 #include "sim/machine.hpp"
 #include "sim/sim_platform.hpp"
 
@@ -29,30 +30,30 @@ using sim::SimPlatform;
 TEST(PolicyTest, AlwaysSwitchTtsIsImmediate)
 {
     AlwaysSwitchPolicy p;
-    EXPECT_FALSE(p.on_tts_acquire(false));
-    EXPECT_TRUE(p.on_tts_acquire(true));
+    EXPECT_FALSE(observe_tts(p, false));
+    EXPECT_TRUE(observe_tts(p, true));
 }
 
 TEST(PolicyTest, AlwaysSwitchQueueNeedsStreak)
 {
     AlwaysSwitchPolicy p(4);
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_TRUE(p.on_queue_acquire(true));  // 4th consecutive empty
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_TRUE(observe_queue(p, true));  // 4th consecutive empty
     p.on_switch();
-    EXPECT_FALSE(p.on_queue_acquire(true));  // streak reset
+    EXPECT_FALSE(observe_queue(p, true));  // streak reset
 }
 
 TEST(PolicyTest, AlwaysSwitchStreakBreaks)
 {
     AlwaysSwitchPolicy p(3);
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(false));  // break
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_TRUE(p.on_queue_acquire(true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, false));  // break
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_TRUE(observe_queue(p, true));
 }
 
 TEST(PolicyTest, Competitive3AccumulatesAcrossBreaks)
@@ -70,7 +71,7 @@ TEST(PolicyTest, Competitive3AccumulatesAcrossBreaks)
         const bool contended = (i % 2 == 0);  // every other one breaks
         if (contended)
             ++contended_count;
-        if (p.on_tts_acquire(contended))
+        if (observe_tts(p, contended))
             triggered_at = contended_count;
     }
     EXPECT_EQ(triggered_at, 59);
@@ -80,7 +81,7 @@ TEST(PolicyTest, Competitive3QueueResidualIsSmaller)
 {
     Competitive3Policy p;
     int count = 0;
-    while (!p.on_queue_acquire(true))
+    while (!observe_queue(p, true))
         ++count;
     // 8800 / 15 = 586.67 -> 587 observations
     EXPECT_EQ(count + 1, 587);
@@ -90,7 +91,7 @@ TEST(PolicyTest, Competitive3ResetsOnSwitch)
 {
     Competitive3Policy p;
     for (int i = 0; i < 30; ++i)
-        p.on_tts_acquire(true);
+        observe_tts(p, true);
     EXPECT_GT(p.cumulative_residual(), 0u);
     p.on_switch();
     EXPECT_EQ(p.cumulative_residual(), 0u);
@@ -99,15 +100,15 @@ TEST(PolicyTest, Competitive3ResetsOnSwitch)
 TEST(PolicyTest, HysteresisResetsOnBreak)
 {
     HysteresisPolicy p(3, 2);
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_FALSE(p.on_tts_acquire(false));  // break resets
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_TRUE(p.on_tts_acquire(true));
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_FALSE(observe_tts(p, false));  // break resets
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_TRUE(observe_tts(p, true));
 
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_TRUE(p.on_queue_acquire(true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_TRUE(observe_queue(p, true));
 }
 
 // ---- ReactiveQueue ----------------------------------------------------

@@ -30,6 +30,7 @@
 #include "locks/mcs_lock.hpp"
 #include "locks/tts_lock.hpp"
 #include "platform/native_platform.hpp"
+#include "policy_observations.hpp"
 #include "rw/reactive_rw_lock.hpp"
 #include "sim/machine.hpp"
 #include "sim/sim_platform.hpp"
@@ -225,11 +226,11 @@ TEST(CalibratedHysteresisTest, BehavesLikeHysteresisAtDerivedStreaks)
     CalibratedHysteresisPolicy h;
     const std::uint32_t x = h.to_queue_streak();
     for (std::uint32_t i = 0; i + 1 < x; ++i)
-        EXPECT_FALSE(h.on_tts_acquire(true));
-    EXPECT_FALSE(h.on_tts_acquire(false)) << "a break must reset the streak";
+        EXPECT_FALSE(observe_tts(h, true));
+    EXPECT_FALSE(observe_tts(h, false)) << "a break must reset the streak";
     for (std::uint32_t i = 0; i + 1 < x; ++i)
-        EXPECT_FALSE(h.on_tts_acquire(true));
-    EXPECT_TRUE(h.on_tts_acquire(true));
+        EXPECT_FALSE(observe_tts(h, true));
+    EXPECT_TRUE(observe_tts(h, true));
 }
 
 TEST(CalibratedHysteresisTest, ZeroPeriodNeverProbes)
@@ -238,7 +239,7 @@ TEST(CalibratedHysteresisTest, ZeroPeriodNeverProbes)
     // policy: decisions depend on the streaks alone, forever.
     CalibratedHysteresisPolicy h;
     for (int i = 0; i < 50000; ++i)
-        EXPECT_FALSE(h.on_tts_acquire(false, 50));
+        EXPECT_FALSE(observe_tts(h, false, 50));
     EXPECT_EQ(h.probes_started(), 0u);
 }
 
@@ -266,8 +267,8 @@ TEST(CalibratedHysteresisTest, RefreshProbesUnfreezeDormantResiduals)
         bool in_tts = true;
         std::uint64_t switches = 0;
         for (std::uint64_t i = 0; i < n; ++i) {
-            const bool sw = in_tts ? h.on_tts_acquire(false, 50)
-                                   : h.on_queue_acquire(false, 30);
+            const bool sw = in_tts ? observe_tts(h, false, 50)
+                                   : observe_queue(h, false, 30);
             if (sw) {
                 h.on_switch();
                 in_tts = !in_tts;
@@ -309,8 +310,8 @@ TEST(CalibratedCompetitive3Test, ReprobeCadenceIsBoundedAndBacksOff)
     bool in_tts = true;
     std::uint64_t switches = 0;
     for (std::uint64_t i = 0; i < 100000; ++i) {
-        const bool sw = in_tts ? p.on_tts_acquire(false, 50)
-                               : p.on_queue_acquire(false, 100);
+        const bool sw = in_tts ? observe_tts(p, false, 50)
+                               : observe_queue(p, false, 100);
         if (sw) {
             p.on_switch();
             p.on_switch_cycles(100);
@@ -333,7 +334,7 @@ TEST(CalibratedCompetitive3Test, ZeroPeriodDisablesProbing)
     pp.probe_period = 0;
     CalibratedCompetitive3Policy p(pp);
     for (std::uint64_t i = 0; i < 50000; ++i)
-        EXPECT_FALSE(p.on_tts_acquire(false, 50));
+        EXPECT_FALSE(observe_tts(p, false, 50));
     EXPECT_EQ(p.probes_started(), 0u);
 }
 
@@ -347,7 +348,7 @@ TEST(CalibratedCompetitive3Test, SignalDrivenSwitchUsesMeasuredCosts)
     int n = 0;
     bool switched = false;
     while (!switched && n < 100) {
-        switched = p.on_tts_acquire(true);
+        switched = observe_tts(p, true);
         ++n;
     }
     EXPECT_TRUE(switched);

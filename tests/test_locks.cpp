@@ -351,8 +351,10 @@ TEST(NativeCohortTest, ReactiveSwitchStormOverCohortQueue)
     // invalidate / the local-bailout dismantle paths under TSan.
     struct Metronome {
         std::uint32_t n = 0;
-        bool on_tts_acquire(bool) { return ++n % 3 == 0; }
-        bool on_queue_acquire(bool) { return ++n % 3 == 0; }
+        std::uint32_t next_protocol(ProtocolSignal s)
+        {
+            return switch_if(s, ++n % 3 == 0);
+        }
         void on_switch() {}
     };
     using RL = ReactiveNodeLock<NativePlatform, Metronome,

@@ -8,6 +8,7 @@
 
 #include "core/policy.hpp"
 #include "core/protocol_set.hpp"
+#include "policy_observations.hpp"
 
 namespace reactive {
 namespace {
@@ -25,14 +26,14 @@ TEST(Competitive3Test, AccumulatesResidualAcrossStreakBreaks)
     // 30 contended acquisitions: residual builds but stays below the
     // switch threshold.
     for (int i = 0; i < 30; ++i)
-        EXPECT_FALSE(p.on_tts_acquire(true));
+        EXPECT_FALSE(observe_tts(p, true));
     EXPECT_EQ(p.cumulative_residual(), 30u * 150u);
 
     // A long run of uncontended acquisitions breaks the streak but must
     // NOT reset the accumulated residual (this is what separates the
     // competitive policy from hysteresis and yields the 3x bound).
     for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(p.on_tts_acquire(false));
+        EXPECT_FALSE(observe_tts(p, false));
     EXPECT_EQ(p.cumulative_residual(), 30u * 150u);
 
     // Resuming contended acquisitions continues from the old total:
@@ -40,7 +41,7 @@ TEST(Competitive3Test, AccumulatesResidualAcrossStreakBreaks)
     int trues = 30;
     bool switched = false;
     for (int i = 0; i < 40 && !switched; ++i) {
-        switched = p.on_tts_acquire(true);
+        switched = observe_tts(p, true);
         ++trues;
     }
     EXPECT_TRUE(switched);
@@ -55,16 +56,16 @@ TEST(Competitive3Test, QueueResidualAccumulatesAcrossBreaks)
     Competitive3Policy p(params);
 
     for (int i = 0; i < 200; ++i)
-        EXPECT_FALSE(p.on_queue_acquire(true));
+        EXPECT_FALSE(observe_queue(p, true));
     for (int i = 0; i < 50; ++i)
-        EXPECT_FALSE(p.on_queue_acquire(false));  // break: no reset
+        EXPECT_FALSE(observe_queue(p, false));  // break: no reset
     EXPECT_EQ(p.cumulative_residual(), 200u * 15u);
 
     // ceil(8800/15) = 587 empty acquisitions in total.
     int empties = 200;
     bool switched = false;
     while (!switched && empties < 1000) {
-        switched = p.on_queue_acquire(true);
+        switched = observe_queue(p, true);
         ++empties;
     }
     EXPECT_TRUE(switched);
@@ -75,12 +76,12 @@ TEST(Competitive3Test, OnSwitchClearsResidual)
 {
     Competitive3Policy p;
     for (int i = 0; i < 20; ++i)
-        (void)p.on_tts_acquire(true);
+        (void)observe_tts(p, true);
     ASSERT_GT(p.cumulative_residual(), 0u);
     p.on_switch();
     EXPECT_EQ(p.cumulative_residual(), 0u);
     // Post-switch accounting starts from zero.
-    EXPECT_FALSE(p.on_tts_acquire(true));
+    EXPECT_FALSE(observe_tts(p, true));
     EXPECT_EQ(p.cumulative_residual(), 150u);
 }
 
@@ -92,36 +93,36 @@ TEST(HysteresisTest, AnyBreakResetsTheStreak)
 
     // Two contended, a break, then two more: no switch (unlike the
     // competitive policy, the break discards all prior evidence).
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_FALSE(p.on_tts_acquire(false));
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_FALSE(p.on_tts_acquire(true));
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_FALSE(observe_tts(p, false));
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_FALSE(observe_tts(p, true));
     // The third consecutive contended acquisition completes the streak.
-    EXPECT_TRUE(p.on_tts_acquire(true));
+    EXPECT_TRUE(observe_tts(p, true));
 }
 
 TEST(HysteresisTest, QueueStreakResetsOnNonEmpty)
 {
     HysteresisPolicy p(/*to_queue_streak=*/3, /*to_tts_streak=*/2);
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(false));  // break
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_TRUE(p.on_queue_acquire(true));    // 2 consecutive empties
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, false));  // break
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_TRUE(observe_queue(p, true));    // 2 consecutive empties
 }
 
 TEST(HysteresisTest, OnSwitchClearsBothStreaks)
 {
     HysteresisPolicy p(/*to_queue_streak=*/2, /*to_tts_streak=*/2);
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
     p.on_switch();
     // Both streaks must restart from zero.
-    EXPECT_FALSE(p.on_tts_acquire(true));
-    EXPECT_TRUE(p.on_tts_acquire(true));
+    EXPECT_FALSE(observe_tts(p, true));
+    EXPECT_TRUE(observe_tts(p, true));
     p.on_switch();
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_TRUE(p.on_queue_acquire(true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_TRUE(observe_queue(p, true));
 }
 
 // ---- AlwaysSwitchPolicy ----------------------------------------------
@@ -129,52 +130,63 @@ TEST(HysteresisTest, OnSwitchClearsBothStreaks)
 TEST(AlwaysSwitchTest, TtsSignalSwitchesImmediately)
 {
     AlwaysSwitchPolicy p;
-    EXPECT_FALSE(p.on_tts_acquire(false));
-    EXPECT_TRUE(p.on_tts_acquire(true));
+    EXPECT_FALSE(observe_tts(p, false));
+    EXPECT_TRUE(observe_tts(p, true));
 }
 
 TEST(AlwaysSwitchTest, EmptyStreakGuardsQueueSignal)
 {
     AlwaysSwitchPolicy p(/*empty_streak_limit=*/4);
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(false));  // break resets
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_TRUE(p.on_queue_acquire(true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, false));  // break resets
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_TRUE(observe_queue(p, true));
 }
 
 TEST(AlwaysSwitchTest, OnSwitchClearsEmptyStreak)
 {
     AlwaysSwitchPolicy p(/*empty_streak_limit=*/2);
-    EXPECT_FALSE(p.on_queue_acquire(true));
+    EXPECT_FALSE(observe_queue(p, true));
     p.on_switch();
-    EXPECT_FALSE(p.on_queue_acquire(true));
-    EXPECT_TRUE(p.on_queue_acquire(true));
+    EXPECT_FALSE(observe_queue(p, true));
+    EXPECT_TRUE(observe_queue(p, true));
 }
 
-// ---- SelectAdapter: binary policies as the two-protocol case ----------
+// ---- the thesis' policies as two-protocol selection policies ----------
 
-TEST(SelectAdapterTest, MapsSignalsToHistoricalCallsAndFlipsIndex)
+TEST(TwoProtocolSelectTest, MapsSignalsToRolesAndFlipsIndex)
 {
-    // The adapter must reproduce Competitive3Policy's decision shape
-    // through the index interface: ceil(8800/150) = 59 contended
-    // protocol-0 observations switch to protocol 1, and drift-free
-    // observations accumulate nothing.
-    SelectAdapter<Competitive3Policy> a{Competitive3Policy{}};
+    // Competitive3Policy's decision shape through the index interface:
+    // ceil(8800/150) = 59 contended protocol-0 observations switch to
+    // protocol 1, and drift-free observations accumulate nothing.
+    Competitive3Policy a;
     for (int i = 0; i < 58; ++i)
         EXPECT_EQ(a.next_protocol({0, +1}), 0u) << i;
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(a.next_protocol({0, 0}), 0u);  // break: no reset
     EXPECT_EQ(a.next_protocol({0, +1}), 1u);
     a.on_switch();
-    EXPECT_EQ(a.underlying().cumulative_residual(), 0u);
-    // Queue-side: drift -1 maps to on_queue_acquire(empty=true).
+    EXPECT_EQ(a.cumulative_residual(), 0u);
+    // Queue role: drift -1 is an empty-queue observation.
     for (int i = 0; i < 586; ++i)
         EXPECT_EQ(a.next_protocol({1, -1}), 1u) << i;
     EXPECT_EQ(a.next_protocol({1, -1}), 0u);
+}
+
+TEST(TwoProtocolSelectTest, LargerSetsRejectTwoProtocolPolicies)
+{
+    // The primitives static_assert SelectPolicyOver<Policy, N>: the
+    // thesis' policies drive two protocols, the ladder policies any N.
+    static_assert(SelectPolicyOver<AlwaysSwitchPolicy, 2>);
+    static_assert(!SelectPolicyOver<AlwaysSwitchPolicy, 3>);
+    static_assert(!SelectPolicyOver<HysteresisPolicy, 3>);
+    static_assert(!SelectPolicyOver<CalibratedHysteresisPolicy, 3>);
+    static_assert(SelectPolicyOver<LadderCompetitivePolicy, 3>);
+    static_assert(SelectPolicyOver<CalibratedLadderPolicy, 3>);
 }
 
 // ---- LadderCompetitivePolicy ------------------------------------------

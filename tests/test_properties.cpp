@@ -180,9 +180,14 @@ using FopSweepParam = std::tuple<FopKind, std::uint32_t, std::uint64_t>;
 std::string fop_param_name(const ::testing::TestParamInfo<FopSweepParam>& info)
 {
     static const char* names[] = {"ttslock", "queuelock", "tree", "reactive"};
-    return std::string(names[static_cast<int>(std::get<0>(info.param))]) +
-           "_p" + std::to_string(std::get<1>(info.param)) + "_s" +
-           std::to_string(std::get<2>(info.param));
+    // Built by appends: GCC 12's -Wrestrict misfires on the
+    // prepend-into-temporary of `"lit" + std::to_string(...)`.
+    std::string s = names[static_cast<int>(std::get<0>(info.param))];
+    s += "_p";
+    s += std::to_string(std::get<1>(info.param));
+    s += "_s";
+    s += std::to_string(std::get<2>(info.param));
+    return s;
 }
 
 template <typename F>
@@ -323,8 +328,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
                        ::testing::Values(1ull, 7ull, 42ull, 1234ull)),
     [](const ::testing::TestParamInfo<CohortFairnessParam>& info) {
-        return "B" + std::to_string(std::get<0>(info.param)) + "_s" +
-               std::to_string(std::get<1>(info.param));
+        std::string s = "B";
+        s += std::to_string(std::get<0>(info.param));
+        s += "_s";
+        s += std::to_string(std::get<1>(info.param));
+        return s;
     });
 
 // ---- cohort queue auto-budget fairness sweep ----------------------------
@@ -397,7 +405,9 @@ INSTANTIATE_TEST_SUITE_P(
     Seeds, CohortAutoBudgetSweep,
     ::testing::Values(1ull, 7ull, 42ull, 1234ull),
     [](const ::testing::TestParamInfo<std::uint64_t>& info) {
-        return "s" + std::to_string(info.param);
+        std::string s = "s";
+        s += std::to_string(info.param);
+        return s;
     });
 
 // ---- cohort queue exclusion / reactive-switch storms --------------------
@@ -451,8 +461,10 @@ TEST(CohortQueueProperties, ReactiveSwitchStormOverCohortQueue)
     // the two-level queue under a socketed machine.
     struct Metronome {
         std::uint32_t n = 0;
-        bool on_tts_acquire(bool) { return ++n % 3 == 0; }
-        bool on_queue_acquire(bool) { return ++n % 3 == 0; }
+        std::uint32_t next_protocol(ProtocolSignal s)
+        {
+            return switch_if(s, ++n % 3 == 0);
+        }
         void on_switch() {}
     };
     using RL = ReactiveNodeLock<SimPlatform, Metronome,
@@ -515,8 +527,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0.25, 0.5413, 1.0),
                        ::testing::Values(0.1, 0.5, 1.0, 3.0, 20.0)),
     [](const ::testing::TestParamInfo<WaitBoundParam>& info) {
-        auto s = "a" + std::to_string(std::get<0>(info.param)) + "_m" +
-                 std::to_string(std::get<1>(info.param));
+        std::string s = "a";
+        s += std::to_string(std::get<0>(info.param));
+        s += "_m";
+        s += std::to_string(std::get<1>(info.param));
         for (auto& c : s)
             if (c == '.')
                 c = '_';

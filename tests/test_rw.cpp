@@ -107,15 +107,17 @@ static_assert(RwLock<ReactiveRwLock<SimPlatform>>);
 class MetronomePolicy {
   public:
     explicit MetronomePolicy(std::uint32_t k = 3) : k_(k) {}
-    bool on_tts_acquire(bool) { return ++n_ % k_ == 0; }
-    bool on_queue_acquire(bool) { return ++n_ % k_ == 0; }
+    std::uint32_t next_protocol(ProtocolSignal s)
+    {
+        return switch_if(s, ++n_ % k_ == 0);
+    }
     void on_switch() {}
 
   private:
     std::uint32_t k_;
     std::uint32_t n_ = 0;
 };
-static_assert(SwitchPolicy<MetronomePolicy>);
+static_assert(SelectPolicy<MetronomePolicy>);
 
 // ---- native-thread exclusion / lost-update tests ----------------------
 
@@ -741,6 +743,51 @@ TYPED_TEST(PreemptedRwTest, LateReaderNeverGrantsAWriterOfANewerGroup)
 }
 
 // ---- reactive rwlock: protocol-switch correctness ---------------------
+
+TEST(ReactiveRwSocketTest, TryLockWriteRecordsTheWriterSocket)
+{
+    // A try_lock_write winner is the new writer: the next slow writer's
+    // socket-crossing bit is measured against it, not a stale writer.
+    struct CrossRecorder {
+        bool last_cross = true;
+        std::uint32_t sampled = 0;
+        std::uint32_t next_protocol(ProtocolSignal s) { return s.protocol; }
+        std::uint32_t next_protocol(ProtocolSignal s, std::uint64_t,
+                                    bool cross = false)
+        {
+            last_cross = cross;
+            ++sampled;
+            return s.protocol;
+        }
+        void on_switch() {}
+        void on_switch_cycles(std::uint64_t) {}
+    };
+    static_assert(SocketAwareSelect<CrossRecorder>);
+    using RW = ReactiveRwLock<SimPlatform, CrossRecorder>;
+    sim::Machine m(2, sim::Topology{2, 0}, sim::CostModel::alewife(), 1);
+    ReactiveRwLockParams params;
+    params.optimistic_simple = false;
+    auto rw = std::make_shared<RW>(params, CrossRecorder{});
+    auto tried = std::make_shared<bool>(false);
+    m.spawn(0, [=] {
+        typename RW::Node n;
+        rw->lock_write(n);
+        rw->unlock_write(n);
+    });
+    m.spawn(1, [=] {
+        sim::delay(5000);
+        typename RW::Node n;
+        *tried = rw->try_lock_write(n);
+        if (*tried)
+            rw->unlock_write(n);
+        rw->lock_write(n);
+        rw->unlock_write(n);
+    });
+    m.run();
+    EXPECT_TRUE(*tried);
+    EXPECT_EQ(rw->policy().sampled, 2u);
+    EXPECT_FALSE(rw->policy().last_cross);
+}
 
 TEST(ReactiveRwSwitchTest, ConvergesToQueueUnderWriteContention)
 {

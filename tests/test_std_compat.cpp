@@ -183,11 +183,13 @@ TEST(StdCompatTest, TryLockSharedRespectsWriter)
     mu.unlock();
 }
 
-/// Binary policy pinning the rwlock in the queue protocol: the first
+/// Policy pinning the rwlock in the queue protocol: the first
 /// slow-path write switches simple -> queue and nothing switches back.
 struct PinQueuePolicy {
-    bool on_tts_acquire(bool) { return true; }
-    bool on_queue_acquire(bool) { return false; }
+    std::uint32_t next_protocol(ProtocolSignal s)
+    {
+        return switch_if(s, s.protocol == 0);
+    }
     void on_switch() {}
 };
 

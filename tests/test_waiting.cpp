@@ -649,6 +649,30 @@ TEST(WaitAxisSimTest, CohortQueueParkingKeepsExclusionAndParks)
     EXPECT_GT(m.stats().blocks, 0u);
 }
 
+TEST(WaitAxisSimTest, RwLockWriterWaitsFeedTheWaitLane)
+{
+    // A writer that wins after waiting is in consensus, so its measured
+    // wait feeds the wait policy's W lane (the reactive mutex's rule);
+    // without it the park_wait_factor x Lpoll cutoff never fires for
+    // the rwlock.
+    using RW = ReactiveRwLock<SimPlatform, AlwaysSwitchPolicy, ParkWaiting>;
+    sim::Machine m(4, preemptive_costs(), 3);
+    auto rw = std::make_shared<RW>();
+    for (std::uint32_t p = 0; p < 4; ++p) {
+        m.spawn(p, [=] {
+            for (int i = 0; i < 20; ++i) {
+                typename RW::Node n;
+                rw->lock_write(n);
+                sim::delay(200);
+                rw->unlock_write(n);
+                sim::delay(sim::random_below(100));
+            }
+        });
+    }
+    m.run();
+    EXPECT_GT(rw->wait_policy().wait_estimate(), 0u);
+}
+
 TEST(WaitAxisSimTest, RwLockParkingMaintainsExclusionAndParks)
 {
     using RW = ReactiveRwLock<SimPlatform, AlwaysSwitchPolicy, ParkWaiting,
@@ -702,8 +726,7 @@ TEST(WaitAxisSimTest, BarrierParkingStaysInLockstepAndParks)
     // force the park hint: early arrivals must park and the completer's
     // broadcast must wake every one, or the episode wedges.
     struct NeverPolicy {
-        bool on_tts_acquire(bool) { return false; }
-        bool on_queue_acquire(bool) { return false; }
+        std::uint32_t next_protocol(ProtocolSignal s) { return s.protocol; }
         void on_switch() {}
     };
     using Bar = ReactiveBarrier<SimPlatform, NeverPolicy,
@@ -856,8 +879,7 @@ TEST(ParkWakeStormTest, OversubscribedBarrierStormUnderModeSwitches)
     // thread) but heavily timeshared: every episode mixes parked and
     // spinning waiters as the hint rotates underneath them.
     struct NeverPolicy {
-        bool on_tts_acquire(bool) { return false; }
-        bool on_queue_acquire(bool) { return false; }
+        std::uint32_t next_protocol(ProtocolSignal s) { return s.protocol; }
         void on_switch() {}
     };
     using Bar = ReactiveBarrier<NativePlatform, NeverPolicy,
