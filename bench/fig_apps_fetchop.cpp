@@ -55,6 +55,7 @@ void app_rows(stats::Table& t, const char* app, Runner run,
 int main(int argc, char** argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    start_trace(args);
     const std::vector<std::uint32_t> procs =
         args.full ? std::vector<std::uint32_t>{16, 32, 64, 128}
                   : std::vector<std::uint32_t>{16, 32, 64};
@@ -84,5 +85,5 @@ int main(int argc, char** argv)
     t.note("paper shape: queue-lock wins at small P, combining tree at");
     t.note("large P (TSP crossover), reactive tracks the winner");
     t.print();
-    return 0;
+    return finish_trace(args);
 }

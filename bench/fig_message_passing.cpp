@@ -66,6 +66,7 @@ double msg_fetchop_overhead(std::uint32_t procs, bool full, std::uint64_t seed,
 int main(int argc, char** argv)
 {
     const BenchArgs args = BenchArgs::parse(argc, argv);
+    start_trace(args);
     const auto procs = baseline_procs(args.full);
 
     {
@@ -95,13 +96,14 @@ int main(int argc, char** argv)
                 msg_lock_overhead(
                     p, args.full, args.seed,
                     [](std::uint32_t) {
-                        return std::make_shared<msg::MessageQueueLock>(0);
+                        return std::make_shared<msg::MessageQueueLock>(
+                            /*initially_valid=*/true, /*manager=*/0);
                     },
                     [](msg::MessageQueueLock& l) {
                         msg::MessageQueueLock::Node n;
-                        l.lock(n);
+                        l.acquire(n);
                         sim::delay(100);
-                        l.unlock();
+                        l.release(n);
                     }),
                 0));
             rea_row.push_back(stats::fmt(
@@ -109,7 +111,8 @@ int main(int argc, char** argv)
                     p, args.full, args.seed,
                     [](std::uint32_t) {
                         return std::make_shared<msg::ReactiveMessageNodeLock>(
-                            0);
+                            ReactiveLockParams{}, AlwaysSwitchPolicy{},
+                            /*manager=*/0u);
                     },
                     [](msg::ReactiveMessageNodeLock& l) {
                         msg::ReactiveMessageNodeLock::Node n;
@@ -194,5 +197,5 @@ int main(int argc, char** argv)
         t.note("under high contention (2 messages/op; atomic handlers)");
         t.print();
     }
-    return 0;
+    return finish_trace(args);
 }

@@ -200,8 +200,7 @@ class ConsensusMonitor {
      * episode at the consensus stamp @p end, ask the policy (passing
      * @p sample when @p sampled), and on a change call
      * @p store_mode(next) — the primitive's mode store — before the
-     * switch bookkeeping. An out-of-range answer keeps the current
-     * protocol: a policy bug must not wedge the set.
+     * switch bookkeeping.
      */
     template <typename StoreMode>
     std::uint32_t completed(ProtocolSignal sig, std::uint64_t end,
@@ -213,9 +212,7 @@ class ConsensusMonitor {
         const auto cur = static_cast<std::uint8_t>(sig.protocol);
         REACTIVE_TRACE_EVENT(trace::EventType::kEpisode, Cls, trace_id_, cur,
                              cur, end, sample, participants);
-        std::uint32_t next = consult(sig, sampled, sample);
-        if (next >= N)
-            next = sig.protocol;
+        const std::uint32_t next = consult(sig, sampled, sample);
         if (next != sig.protocol) {
             store_mode(next);
             switched(sig.protocol, next, sig.drift, end);
@@ -375,22 +372,27 @@ class ConsensusMonitor {
 
     /// The policy call: with a cost sample (and the socket bit) when
     /// @p sampled, else the bare observation. A socket-aware policy's
-    /// tracker still records every new holder.
+    /// tracker still records every new holder. An answer outside the
+    /// set keeps the current protocol: a policy that steps past the top
+    /// rung (AlwaysSwitchPolicy) or a policy bug must not wedge the set.
     std::uint32_t consult(ProtocolSignal sig, [[maybe_unused]] bool sampled,
                           [[maybe_unused]] std::uint64_t cycles)
     {
-        if constexpr (kCalibrating) {
-            if (sampled) {
+        const std::uint32_t next = [&] {
+            if constexpr (kCalibrating) {
+                if (sampled) {
+                    if constexpr (kSocketAware)
+                        return select_.next_protocol(sig, cycles,
+                                                     socket_.note_handoff());
+                    else
+                        return select_.next_protocol(sig, cycles);
+                }
                 if constexpr (kSocketAware)
-                    return select_.next_protocol(sig, cycles,
-                                                 socket_.note_handoff());
-                else
-                    return select_.next_protocol(sig, cycles);
+                    (void)socket_.note_handoff();
             }
-            if constexpr (kSocketAware)
-                (void)socket_.note_handoff();
-        }
-        return select_.next_protocol(sig);
+            return select_.next_protocol(sig);
+        }();
+        return next < N ? next : sig.protocol;
     }
 
     /// Regret account (trace builds, tracing on): the cost sample

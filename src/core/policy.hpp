@@ -22,7 +22,10 @@
  *  - **always-switch** (the default in Section 3.3): switch as soon as
  *    the monitored signal says the current protocol is sub-optimal; a
  *    small signal-reliability streak (e.g. 4 consecutive empty-queue
- *    acquisitions, Section 3.7.1) guards against one-off noise.
+ *    acquisitions, Section 3.7.1) guards against one-off noise. It is
+ *    written for any number of protocols — one rung per decision, as
+ *    the reactive fetch-and-op's three protocols need (Section 3.3.2)
+ *    — and is the thesis rule exactly over two.
  *  - **3-competitive** (Section 3.4.1): accumulate the residual cost of
  *    servicing requests with the sub-optimal protocol — *across* breaks
  *    in the streak — and switch when the cumulative residual exceeds the
@@ -154,37 +157,43 @@ constexpr std::uint32_t switch_if(ProtocolSignal s, bool sw)
 }
 
 /**
- * Default policy: switch immediately on a reliable signal.
+ * Default policy: switch immediately on a reliable signal, one rung at
+ * a time along the set's scalability order.
  *
- * "Reliable" = one contended TTS acquisition (the retry limit already
- * filters noise within an acquisition), or `empty_streak_limit`
- * consecutive empty-queue acquisitions (thesis Section 3.7.1 uses 4).
+ * "Reliable" = one under-provisioned observation (drift +1: a contended
+ * TTS acquisition, whose retry limit already filters noise within the
+ * acquisition, or a long FIFO queue wait) moves up a rung at once;
+ * `low_streak_limit` consecutive over-provisioned observations (drift
+ * -1: empty-queue acquisitions, low combining rates at a tree root)
+ * move down a rung (thesis Section 3.7.1 uses 4). Over two protocols
+ * this is the thesis' always-switch rule exactly; the answer past the
+ * top rung is clamped by the caller (ConsensusMonitor keeps the
+ * current protocol for any index outside the set).
  */
 class AlwaysSwitchPolicy {
   public:
-    static constexpr std::uint32_t kMaxProtocols = 2;
-
-    explicit AlwaysSwitchPolicy(std::uint32_t empty_streak_limit = 4)
-        : empty_limit_(empty_streak_limit)
+    explicit AlwaysSwitchPolicy(std::uint32_t low_streak_limit = 4)
+        : low_limit_(low_streak_limit)
     {
     }
 
     std::uint32_t next_protocol(ProtocolSignal s)
     {
+        // Rung 0 leaves the streak alone (on_switch cleared it): its
+        // uncontended acquisitions, the common case, store nothing.
         if (s.protocol == 0)
-            return switch_if(s, s.drift > 0);
-        if (s.drift >= 0) {
-            empty_streak_ = 0;
-            return s.protocol;
-        }
-        return switch_if(s, ++empty_streak_ >= empty_limit_);
+            return s.drift > 0 ? 1 : 0;
+        if (s.drift < 0)
+            return ++low_streak_ >= low_limit_ ? s.protocol - 1 : s.protocol;
+        low_streak_ = 0;
+        return s.drift > 0 ? s.protocol + 1 : s.protocol;
     }
 
-    void on_switch() { empty_streak_ = 0; }
+    void on_switch() { low_streak_ = 0; }
 
   private:
-    std::uint32_t empty_limit_;
-    std::uint32_t empty_streak_ = 0;
+    std::uint32_t low_limit_;
+    std::uint32_t low_streak_ = 0;
 };
 
 /**
@@ -276,7 +285,7 @@ class HysteresisPolicy {
     std::uint32_t empty_streak_ = 0;
 };
 
-static_assert(SelectPolicyOver<AlwaysSwitchPolicy, 2>);
+static_assert(SelectPolicyOver<AlwaysSwitchPolicy, 3>);
 static_assert(!SelectPolicyOver<Competitive3Policy, 3>);
 static_assert(!CalibratingSelectPolicy<HysteresisPolicy>);
 

@@ -18,17 +18,18 @@
  * lock would serialize accesses in combining mode and destroy the
  * tree's parallelism (Section 3.3.2 calls this out explicitly).
  *
- * Run-time monitoring (Section 3.3.2):
- *   - TTS -> queue: failed test&set attempts exceed a retry limit;
- *   - queue -> TTS: the queue was empty for several consecutive
- *     acquisitions;
- *   - queue -> tree: the FIFO queue waiting time exceeds a limit (queue
- *     wait is a faithful contention estimate because the queue is FIFO);
- *   - tree -> queue: the combining rate observed at the root (the batch
- *     size, piggybacked up the tree) stays below a threshold — computed
- *     exactly as the thesis describes, "a fetch-and-increment along with
- *     the fetch-and-op" seeing "how large of an increment reaches the
- *     root".
+ * Run-time monitoring (Section 3.3.2): each consensus holder reports a
+ * drift to the shared ConsensusMonitor (core/consensus_monitor.hpp),
+ * whose AlwaysSwitchPolicy climbs a rung on +1 and descends one after
+ * `low_streak_limit` consecutive -1s; the monitor also counts and
+ * traces (class `fetchop`) every decision and switch.
+ *   - TTS holder: +1 when failed test&set attempts exceed a limit;
+ *   - queue holder: -1 when the queue was empty, +1 when the FIFO wait
+ *     exceeds a limit (a faithful contention estimate: FIFO order);
+ *   - tree root hook: -1 when the combining rate at the root (the batch
+ *     size, piggybacked up the tree) is low — "a fetch-and-increment
+ *     along with the fetch-and-op" seeing "how large of an increment
+ *     reaches the root".
  *
  * State transfer: protocols 1 and 2 share the fetch-and-op variable in
  * a common location (the optimization noted in Section 3.3.2, "keeps
@@ -42,6 +43,8 @@
 #include <cstdint>
 #include <optional>
 
+#include "core/consensus_monitor.hpp"
+#include "core/policy.hpp"
 #include "core/reactive_queue.hpp"
 #include "fetchop/combining_tree.hpp"
 #include "fetchop/fetchop_concepts.hpp"
@@ -55,16 +58,16 @@ namespace reactive {
 struct ReactiveFetchOpParams {
     /// Failed test&set attempts that mark an acquisition contended.
     std::uint32_t tts_retry_limit = 8;
-    /// Consecutive empty-queue acquisitions before switching to TTS.
-    std::uint32_t empty_queue_limit = 4;
+    /// Consecutive over-provisioned observations (empty-queue
+    /// acquisitions, low-combining root batches) before moving down a
+    /// rung.
+    std::uint32_t low_streak_limit = 4;
     /// Queue waiting time (cycles) beyond which the tree is preferred.
     /// Default calibrated to the measured queue-vs-tree crossover on the
     /// simulated Alewife (~32 contenders; see fig_baseline_fetchop).
     std::uint64_t queue_wait_limit = 5000;
     /// Root batches below this size count as "low combining".
     std::uint32_t combine_min_batch = 3;
-    /// Consecutive low-combining root batches before leaving the tree.
-    std::uint32_t combine_low_limit = 4;
     /// Backoff while spinning on the TTS lock protocol.
     BackoffParams backoff = BackoffParams::for_contenders(64);
 };
@@ -87,10 +90,11 @@ class ReactiveFetchOp {
 
     explicit ReactiveFetchOp(std::uint32_t width = 64, FetchOpValue initial = 0,
                              ReactiveFetchOpParams params = {})
-        : tree_(width, 0), params_(params)
+        : tree_(width, 0),
+          params_(params),
+          monitor_(AlwaysSwitchPolicy(params.low_streak_limit))
     {
-        mode_->store(static_cast<std::uint32_t>(Mode::kTtsLock),
-                     std::memory_order_relaxed);
+        mode_->store(kTts, std::memory_order_relaxed);
         tts_lock_.store(kFree, std::memory_order_relaxed);
         value_.store(initial, std::memory_order_relaxed);
         tree_.invalidate();  // TTS protocol is the initially valid one
@@ -138,13 +142,29 @@ class ReactiveFetchOp {
     }
 
     /// Completed protocol changes (tests and experiments).
-    std::uint64_t protocol_changes() const { return protocol_changes_; }
+    std::uint64_t protocol_changes() const
+    {
+        return monitor_.protocol_changes();
+    }
 
     CombiningTree<P>& tree() { return tree_; }
 
   private:
     static constexpr std::uint32_t kFree = 0;
     static constexpr std::uint32_t kBusy = 1;
+    // The Mode values as protocol indices of the three-rung set.
+    static constexpr std::uint32_t kTts = 0, kQueue = 1, kTree = 2;
+
+    using Monitor =
+        ConsensusMonitor<P, AlwaysSwitchPolicy, 3, SpinWaiting,
+                         CalibratedWaitPolicy, trace::ObjectClass::kFetchOp>;
+
+    /// The holder's decision (the plain policy takes no cost sample).
+    std::uint32_t decide(std::uint32_t protocol, int drift)
+    {
+        return monitor_.acquired({protocol, drift}, /*clean=*/true,
+                                 /*start=*/0);
+    }
 
     /// Protocol 1: centralized variable under the TTS lock. Returns
     /// nullopt when the protocol is retired (mode moved on).
@@ -161,11 +181,10 @@ class ReactiveFetchOp {
                     const FetchOpValue prior =
                         value_.load(std::memory_order_relaxed);
                     value_.store(prior + delta, std::memory_order_relaxed);
-                    if (contended) {
+                    if (decide(kTts, contended ? +1 : 0) != kTts)
                         switch_tts_to_queue();
-                    } else {
+                    else
                         tts_lock_.store(kFree, std::memory_order_release);
-                    }
                     return prior;
                 }
                 if (++retries > params_.tts_retry_limit)
@@ -184,24 +203,25 @@ class ReactiveFetchOp {
         const auto outcome = queue_.acquire(node.queue_node);
         if (outcome == ReactiveQueue<P>::Outcome::kInvalid)
             return std::nullopt;
-        // In-consensus: apply the operation, then run the monitors.
+        // In-consensus: apply the operation, then decide.
         const FetchOpValue prior = value_.load(std::memory_order_relaxed);
         value_.store(prior + delta, std::memory_order_relaxed);
-
-        if (outcome == ReactiveQueue<P>::Outcome::kAcquiredEmpty) {
-            if (++empty_streak_ >= params_.empty_queue_limit) {
-                switch_queue_to_tts(node);
-                return prior;
-            }
-        } else {
-            empty_streak_ = 0;
-            // FIFO queue => waiting time estimates contention directly.
-            if (P::now() - t0 > params_.queue_wait_limit) {
-                switch_queue_to_combine(node, prior + delta);
-                return prior;
-            }
+        // An empty queue is over-provisioned; otherwise the FIFO wait
+        // estimates contention directly.
+        int drift = -1;
+        if (outcome == ReactiveQueue<P>::Outcome::kAcquiredWaited)
+            drift = P::now() - t0 > params_.queue_wait_limit ? +1 : 0;
+        switch (decide(kQueue, drift)) {
+        case kTts:
+            switch_queue_to_tts(node);
+            break;
+        case kTree:
+            switch_queue_to_combine(node, prior + delta);
+            break;
+        default:
+            queue_.release(node.queue_node);
+            break;
         }
-        queue_.release(node.queue_node);
         return prior;
     }
 
@@ -211,12 +231,11 @@ class ReactiveFetchOp {
     {
         TreeResult r = tree_.apply(
             node.tree_node, delta, [this](std::uint32_t batch) {
-                // In-consensus at the root: track the combining rate.
-                if (batch >= params_.combine_min_batch) {
-                    combine_low_streak_ = 0;
-                    return false;
-                }
-                return ++combine_low_streak_ >= params_.combine_low_limit;
+                // In-consensus at the root: the batch that reached it is
+                // the combining rate.
+                return decide(kTree,
+                              batch < params_.combine_min_batch ? -1 : 0) !=
+                       kTree;
             });
         if (!r.ok)
             return std::nullopt;
@@ -236,31 +255,28 @@ class ReactiveFetchOp {
         // node is enough: release() hands the queue over or empties it.
         typename ReactiveQueue<P>::Node helper;
         queue_.acquire_invalid(helper);
-        mode_.value.store(static_cast<std::uint32_t>(Mode::kQueueLock),
-                          std::memory_order_release);
-        ++protocol_changes_;
-        empty_streak_ = 0;
+        mode_.value.store(kQueue, std::memory_order_release);
+        monitor_.switched(kTts, kQueue, +1, /*start=*/0);
         queue_.release(helper);
     }
 
     void switch_queue_to_tts(Node& node)
     {
-        mode_.value.store(static_cast<std::uint32_t>(Mode::kTtsLock),
-                          std::memory_order_release);
-        ++protocol_changes_;
+        mode_.value.store(kTts, std::memory_order_release);
+        monitor_.switched(kQueue, kTts, -1, /*start=*/0);
         queue_.invalidate(&node.queue_node);
         tts_lock_.store(kFree, std::memory_order_release);
     }
 
     void switch_queue_to_combine(Node& node, FetchOpValue current)
     {
-        // Transfer state into the tree and validate its root before
-        // announcing the mode, so early arrivals find a valid root.
+        // Bookkeeping first: a valid root's hook decides through the
+        // same monitor. Then transfer state into the tree and validate
+        // its root before announcing the mode, so early arrivals find a
+        // valid root.
+        monitor_.switched(kQueue, kTree, +1, /*start=*/0);
         tree_.validate(current);
-        mode_.value.store(static_cast<std::uint32_t>(Mode::kCombine),
-                          std::memory_order_release);
-        ++protocol_changes_;
-        combine_low_streak_ = 0;
+        mode_.value.store(kTree, std::memory_order_release);
         queue_.invalidate(&node.queue_node);
     }
 
@@ -270,10 +286,8 @@ class ReactiveFetchOp {
         // transfer the value, announce, release.
         queue_.acquire_invalid(node.queue_node);
         value_.store(current, std::memory_order_relaxed);
-        mode_.value.store(static_cast<std::uint32_t>(Mode::kQueueLock),
-                          std::memory_order_release);
-        ++protocol_changes_;
-        empty_streak_ = 0;
+        mode_.value.store(kQueue, std::memory_order_release);
+        monitor_.switched(kTree, kQueue, -1, /*start=*/0);
         queue_.release(node.queue_node);
     }
 
@@ -287,10 +301,8 @@ class ReactiveFetchOp {
     typename P::template Atomic<std::uint32_t> next_leaf_{0};
 
     ReactiveFetchOpParams params_;
-    // Monitor state, mutated in-consensus only.
-    std::uint32_t empty_streak_ = 0;
-    std::uint32_t combine_low_streak_ = 0;
-    std::uint64_t protocol_changes_ = 0;
+    // Policy, change count and trace identity: in-consensus only.
+    Monitor monitor_;
 };
 
 }  // namespace reactive

@@ -85,7 +85,9 @@ struct ReactiveLockParams {
  *                consensus-object dialect (acquire/Outcome, release,
  *                acquire_invalid, invalidate). The default is the flat
  *                MCS ReactiveQueue; CohortQueue (core/cohort_queue.hpp)
- *                substitutes NUMA cohort handoff.
+ *                substitutes NUMA cohort handoff, and MessageQueueLock
+ *                (msg/message_lock.hpp) the message-passing lock
+ *                manager of Section 3.6.
  * @tparam Waiting  waiting-mode axis (waiting/reactive/wait_site.hpp):
  *                SpinWaiting (default) keeps the historical pure-spin
  *                slow paths byte-for-byte (every parking branch is
@@ -397,7 +399,7 @@ class ReactiveLock {
                 // Our enqueue landed on an invalid tail: acquire()
                 // dismantled the bogus chain we headed, storing kInvalid
                 // into nodes whose owners may be parked on this site.
-                monitor_.site().wake_all();
+                monitor_.wake();
         } else if constexpr (kParking && requires(AwaitResult& wr) {
                                  queue_.acquire(node, wr);
                              }) {

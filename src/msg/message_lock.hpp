@@ -19,7 +19,13 @@
  * The `valid` flag and RETRY replies are the reactive hooks: the
  * manager handler is the protocol's in-consensus point (Section 3.6:
  * "a process reaches in-consensus when executing inside an atomic
- * message handler").
+ * message handler"). The lock speaks ReactiveQueue's consensus-object
+ * dialect (acquire/Outcome, release, acquire_invalid, invalidate), so
+ * it drops into ReactiveLock as the queue slot: the reactive
+ * shared-memory <-> message-passing lock of Section 3.6 is
+ * `ReactiveLock<sim::SimPlatform, AlwaysSwitchPolicy, MessageQueueLock>`
+ * (msg/reactive_msg.hpp), with the grant's queue-depth hint as the
+ * empty-queue signal.
  */
 #pragma once
 
@@ -48,18 +54,22 @@ class MessageQueueLock {
         bool queue_was_empty = false;  ///< contention hint piggybacked on grant
     };
 
-    /// @param manager processor hosting the lock manager.
+    /// How an acquisition attempt concluded (ReactiveQueue's dialect).
+    enum class Outcome {
+        kAcquiredEmpty,   ///< granted with no other waiter queued
+        kAcquiredWaited,  ///< granted while others were still queued
+        kInvalid,         ///< RETRY: protocol retired; use the other one
+    };
+
     /// @param initially_valid false for reactive composition.
-    explicit MessageQueueLock(std::uint32_t manager, bool initially_valid = true)
+    /// @param manager processor hosting the lock manager.
+    MessageQueueLock(bool initially_valid, std::uint32_t manager)
         : manager_(manager), valid_(initially_valid)
     {
     }
 
-    /**
-     * Acquires the lock. Returns true on success; false means the
-     * protocol is invalid (retry with the valid protocol).
-     */
-    bool lock(Node& node)
+    /// Requests the lock and spins on the local mailbox for the reply.
+    Outcome acquire(Node& node)
     {
         node.reply = LockReply::kPending;
         sim::Machine& m = *sim::current_machine();
@@ -80,22 +90,25 @@ class MessageQueueLock {
         });
         while (node.reply == LockReply::kPending)
             sim::pause();
-        return node.reply == LockReply::kGranted;
+        if (node.reply != LockReply::kGranted)
+            return Outcome::kInvalid;
+        return node.queue_was_empty ? Outcome::kAcquiredEmpty
+                                    : Outcome::kAcquiredWaited;
     }
 
     /// Releases the lock (holder only).
-    void unlock()
+    void release(Node& /*node*/)
     {
         sim::Machine& m = *sim::current_machine();
         m.send(manager_, [this, &m] { grant_next(m); });
     }
 
     /**
-     * Releases and invalidates the protocol (holder only): queued
-     * waiters are answered RETRY. Used by the reactive lock when
-     * switching to the shared-memory protocol.
+     * Releases and retires the protocol (holder only): queued waiters
+     * are answered RETRY. The holder's mailbox @p head is not needed —
+     * the manager's queue is the chain to dismantle.
      */
-    void unlock_and_invalidate()
+    void invalidate(Node* /*head*/)
     {
         sim::Machine& m = *sim::current_machine();
         m.send(manager_, [this, &m] {
@@ -112,9 +125,9 @@ class MessageQueueLock {
     /**
      * Validates the protocol with the caller as holder (caller must be
      * in-consensus on the previously valid protocol). Spins until the
-     * manager acknowledges.
+     * manager acknowledges; the acknowledgement does not use @p node.
      */
-    void validate_held()
+    void acquire_invalid(Node& /*node*/)
     {
         sim::Machine& m = *sim::current_machine();
         const std::uint32_t self = sim::current_cpu();

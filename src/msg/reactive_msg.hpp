@@ -4,13 +4,19 @@
  * message-passing protocols (thesis Section 3.6).
  *
  * `ReactiveMessageLock` chooses between the shared-memory
- * test-and-test-and-set protocol and the message-passing queue lock;
+ * test-and-test-and-set protocol and the message-passing queue lock. It
+ * is not a class of its own: MessageQueueLock speaks the reactive
+ * lock's queue-slot dialect, so the lock is `ReactiveLock` with the
+ * message lock as its slot, deciding through the same ConsensusMonitor
+ * and AlwaysSwitchPolicy as the shared-memory reactive lock.
  * `ReactiveMessageFetchOp` chooses among the shared-memory TTS-lock
  * counter, the centralized message-passing fetch-and-op, and the
  * message-passing combining tree. For the message protocols the
  * in-consensus point is the manager/server/root *handler* — "a process
  * reaches in-consensus when executing inside an atomic message handler,
- * and requires no locking".
+ * and requires no locking". The fetch-and-op's server and tree streaks
+ * are kept by the requesters after the reply, outside consensus, so
+ * they stay hand-written heuristics rather than policy input.
  *
  * The same invariants as the shared-memory reactive algorithms hold:
  * at most one protocol valid at a time; mode variables are hints;
@@ -22,6 +28,9 @@
 #include <cstdint>
 #include <optional>
 
+#include "core/policy.hpp"
+#include "core/reactive_lock.hpp"
+#include "core/reactive_mutex.hpp"
 #include "fetchop/fetchop_concepts.hpp"
 #include "msg/message_fetch_op.hpp"
 #include "msg/message_lock.hpp"
@@ -32,167 +41,20 @@
 
 namespace reactive::msg {
 
-/// Tunables shared by the reactive message-passing algorithms.
-struct ReactiveMsgParams {
-    std::uint32_t tts_retry_limit = 8;
-    std::uint32_t empty_queue_limit = 4;
-    BackoffParams backoff = BackoffParams::for_contenders(64);
-};
+/// Reactive lock over {shared-memory TTS, message-passing queue lock};
+/// construct as `ReactiveMessageLock lock({}, {}, manager)`.
+using ReactiveMessageLock =
+    ReactiveLock<sim::SimPlatform, AlwaysSwitchPolicy, MessageQueueLock>;
 
-/**
- * Reactive lock over {shared-memory TTS, message-passing queue lock}.
- */
-class ReactiveMessageLock {
-  public:
-    enum class Mode : std::uint32_t { kTts = 0, kMsg = 1 };
-
-    /// Release token (same idea as ReactiveLock::ReleaseMode).
-    enum class ReleaseMode : std::uint32_t {
-        kTts,
-        kMsg,
-        kTtsToMsg,
-        kMsgToTts,
-    };
-
-    struct Node {
-        MessageQueueLock::Node msg_node;
-    };
-
-    explicit ReactiveMessageLock(std::uint32_t manager_proc,
-                                 ReactiveMsgParams params = {})
-        : msg_lock_(manager_proc, /*initially_valid=*/false), params_(params)
-    {
-        mode_->store(static_cast<std::uint32_t>(Mode::kTts));
-        tts_lock_.store(kFree);
-    }
-
-    ReleaseMode acquire(Node& node)
-    {
-        // Optimistic shared-memory attempt (free TTS lock <=> TTS valid).
-        if (tts_lock_.exchange(kBusy, std::memory_order_acquire) == kFree)
-            return ReleaseMode::kTts;
-        Mode m = mode();
-        for (;;) {
-            if (m == Mode::kTts) {
-                if (auto r = try_acquire_tts())
-                    return *r;
-                m = Mode::kMsg;
-            } else {
-                if (auto r = try_acquire_msg(node))
-                    return *r;
-                m = Mode::kTts;
-            }
-        }
-    }
-
-    void release(Node& node, ReleaseMode rm)
-    {
-        switch (rm) {
-        case ReleaseMode::kTts:
-            tts_lock_.store(kFree, std::memory_order_release);
-            break;
-        case ReleaseMode::kMsg:
-            msg_lock_.unlock();
-            break;
-        case ReleaseMode::kTtsToMsg:
-            // Holder validates the message protocol with itself as
-            // holder; TTS lock stays busy (= invalid).
-            msg_lock_.validate_held();
-            mode_.value.store(static_cast<std::uint32_t>(Mode::kMsg),
-                              std::memory_order_release);
-            ++protocol_changes_;
-            msg_lock_.unlock();
-            break;
-        case ReleaseMode::kMsgToTts:
-            mode_.value.store(static_cast<std::uint32_t>(Mode::kTts),
-                              std::memory_order_release);
-            ++protocol_changes_;
-            msg_lock_.unlock_and_invalidate();
-            tts_lock_.store(kFree, std::memory_order_release);
-            break;
-        }
-        (void)node;
-    }
-
-    Mode mode() const
-    {
-        return static_cast<Mode>(mode_.value.load(std::memory_order_relaxed));
-    }
-
-    std::uint64_t protocol_changes() const { return protocol_changes_; }
-
-  private:
-    static constexpr std::uint32_t kFree = 0;
-    static constexpr std::uint32_t kBusy = 1;
-
-    std::optional<ReleaseMode> try_acquire_tts()
-    {
-        ExpBackoff<sim::SimPlatform> backoff(params_.backoff);
-        std::uint32_t retries = 0;
-        bool contended = false;
-        for (;;) {
-            if (tts_lock_.load(std::memory_order_relaxed) == kFree) {
-                if (tts_lock_.exchange(kBusy, std::memory_order_acquire) ==
-                    kFree)
-                    return contended ? ReleaseMode::kTtsToMsg
-                                     : ReleaseMode::kTts;
-                if (++retries > params_.tts_retry_limit)
-                    contended = true;
-            }
-            backoff.pause();
-            if (mode() != Mode::kTts)
-                return std::nullopt;
-        }
-    }
-
-    std::optional<ReleaseMode> try_acquire_msg(Node& node)
-    {
-        if (!msg_lock_.lock(node.msg_node))
-            return std::nullopt;
-        // The grant carries the manager's queue-depth hint.
-        if (node.msg_node.queue_was_empty) {
-            if (++empty_streak_ >= params_.empty_queue_limit)
-                return ReleaseMode::kMsgToTts;
-        } else {
-            empty_streak_ = 0;
-        }
-        return ReleaseMode::kMsg;
-    }
-
-    CacheAligned<sim::Atomic<std::uint32_t>> mode_;
-    alignas(kCacheLineSize) sim::Atomic<std::uint32_t> tts_lock_{kFree};
-    MessageQueueLock msg_lock_;
-    ReactiveMsgParams params_;
-    std::uint32_t empty_streak_ = 0;    // in-consensus only
-    std::uint64_t protocol_changes_ = 0;
-};
-
-/// NodeLock-style adapter over ReactiveMessageLock for generic harnesses.
-class ReactiveMessageNodeLock {
-  public:
-    struct Node {
-        ReactiveMessageLock::Node inner;
-        ReactiveMessageLock::ReleaseMode rm{};
-    };
-
-    explicit ReactiveMessageNodeLock(std::uint32_t manager,
-                                     ReactiveMsgParams params = {})
-        : inner_(manager, params)
-    {
-    }
-
-    void lock(Node& n) { n.rm = inner_.acquire(n.inner); }
-    void unlock(Node& n) { inner_.release(n.inner, n.rm); }
-
-    ReactiveMessageLock& inner() { return inner_; }
-
-  private:
-    ReactiveMessageLock inner_;
-};
+/// NodeLock-style form of ReactiveMessageLock for generic harnesses.
+using ReactiveMessageNodeLock =
+    ReactiveNodeLock<sim::SimPlatform, AlwaysSwitchPolicy, MessageQueueLock>;
 
 /// Tunables for the reactive message-passing fetch-and-op.
 struct ReactiveMsgFetchOpParams {
-    ReactiveMsgParams base;
+    /// Failed test&set attempts that mark a TTS acquisition contended.
+    std::uint32_t tts_retry_limit = 8;
+    BackoffParams backoff = BackoffParams::for_contenders(64);
     /// Consecutive "hot" server observations before moving to the tree.
     std::uint32_t hot_limit = 4;
     /// Root batches below this size count as low combining.
@@ -272,7 +134,7 @@ class ReactiveMessageFetchOp {
 
     std::optional<FetchOpValue> run_tts(FetchOpValue delta)
     {
-        ExpBackoff<sim::SimPlatform> backoff(params_.base.backoff);
+        ExpBackoff<sim::SimPlatform> backoff(params_.backoff);
         std::uint32_t retries = 0;
         bool contended = false;
         for (;;) {
@@ -294,7 +156,7 @@ class ReactiveMessageFetchOp {
                     }
                     return prior;
                 }
-                if (++retries > params_.base.tts_retry_limit)
+                if (++retries > params_.tts_retry_limit)
                     contended = true;
             }
             backoff.pause();

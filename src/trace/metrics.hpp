@@ -36,6 +36,8 @@ inline const char* class_name(ObjectClass c)
         return "barrier";
     case ObjectClass::kCohort:
         return "cohort";
+    case ObjectClass::kFetchOp:
+        return "fetchop";
     default:
         return "none";
     }

@@ -83,8 +83,9 @@ enum class ObjectClass : std::uint8_t {
     kRwLock = 2,
     kBarrier = 3,
     kCohort = 4,
+    kFetchOp = 5,
 };
-inline constexpr std::size_t kClassCount = 5;
+inline constexpr std::size_t kClassCount = 6;
 
 /// One recorded decision point. Packs into five 64-bit slot words.
 struct Event {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -568,17 +569,23 @@ TEST(ReactiveFetchOpTest, ReturnsFromCombiningWhenContentionFades)
     EXPECT_EQ(f->read(), 32 * 20 + 60);
 }
 
-TEST(ReactiveFetchOpTest, NativeThreadsLinearizable)
+void native_fetchop_linearizable(ReactiveFetchOpParams params)
 {
     using F = ReactiveFetchOp<NativePlatform>;
     const std::uint32_t threads =
         std::max(2u, std::min(4u, std::thread::hardware_concurrency()));
-    F f(threads);
+    F f(threads, 0, params);
     std::vector<std::vector<FetchOpValue>> priors(threads);
     std::vector<std::thread> pool;
+    // Start together: a thread started late would otherwise finish its
+    // few hundred operations before the next one runs, uncontended.
+    std::atomic<std::uint32_t> ready{0};
     for (std::uint32_t t = 0; t < threads; ++t) {
         pool.emplace_back([&, t] {
             typename F::Node node;
+            ready.fetch_add(1);
+            while (ready.load() < threads)
+                std::this_thread::yield();
             for (int i = 0; i < 300; ++i)
                 priors[t].push_back(f.fetch_add(node, 1));
         });
@@ -589,6 +596,23 @@ TEST(ReactiveFetchOpTest, NativeThreadsLinearizable)
     for (auto& v : priors)
         all.insert(all.end(), v.begin(), v.end());
     expect_dense_priors(std::move(all));
+}
+
+TEST(ReactiveFetchOpTest, NativeThreadsLinearizable)
+{
+    native_fetchop_linearizable({});
+}
+
+TEST(ReactiveFetchOpTest, NativeThreadsLinearizableThroughTree)
+{
+    // One lost test&set race moves to the queue and any queue wait to
+    // the combining tree, so real threads run every protocol and every
+    // switch. Which rungs a run visits depends on timing; only the
+    // result is asserted.
+    ReactiveFetchOpParams params;
+    params.tts_retry_limit = 0;
+    params.queue_wait_limit = 1;
+    native_fetchop_linearizable(params);
 }
 
 }  // namespace

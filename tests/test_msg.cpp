@@ -22,7 +22,7 @@ TEST(MessageQueueLockTest, MutualExclusion)
 {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         sim::Machine m(8, sim::CostModel::alewife(), seed);
-        auto lock = std::make_shared<MessageQueueLock>(0);
+        auto lock = std::make_shared<MessageQueueLock>(true, 0);
         auto inside = std::make_shared<int>(0);
         auto violations = std::make_shared<int>(0);
         auto count = std::make_shared<long>(0);
@@ -30,13 +30,14 @@ TEST(MessageQueueLockTest, MutualExclusion)
             m.spawn(p, [=] {
                 for (int i = 0; i < 30; ++i) {
                     MessageQueueLock::Node n;
-                    ASSERT_TRUE(lock->lock(n));
+                    ASSERT_NE(lock->acquire(n),
+                              MessageQueueLock::Outcome::kInvalid);
                     if (++*inside != 1)
                         ++*violations;
                     sim::delay(20 + sim::random_below(50));
                     --*inside;
                     ++*count;
-                    lock->unlock();
+                    lock->release(n);
                     sim::delay(sim::random_below(100));
                 }
             });
@@ -50,16 +51,16 @@ TEST(MessageQueueLockTest, MutualExclusion)
 TEST(MessageQueueLockTest, FifoGrantOrder)
 {
     sim::Machine m(6);
-    auto lock = std::make_shared<MessageQueueLock>(0);
+    auto lock = std::make_shared<MessageQueueLock>(true, 0);
     auto grants = std::make_shared<std::vector<int>>();
     for (std::uint32_t p = 0; p < 6; ++p) {
         m.spawn(p, [=] {
             sim::delay(300 * (p + 1));  // deterministic staggered arrivals
             MessageQueueLock::Node n;
-            lock->lock(n);
+            lock->acquire(n);
             grants->push_back(static_cast<int>(p));
             sim::delay(2000);
-            lock->unlock();
+            lock->release(n);
         });
     }
     m.run();
@@ -69,11 +70,12 @@ TEST(MessageQueueLockTest, FifoGrantOrder)
 TEST(MessageQueueLockTest, InvalidLockRepliesRetry)
 {
     sim::Machine m(2);
-    auto lock = std::make_shared<MessageQueueLock>(0, /*initially_valid=*/false);
+    auto lock =
+        std::make_shared<MessageQueueLock>(/*initially_valid=*/false, 0);
     auto got_retry = std::make_shared<bool>(false);
     m.spawn(1, [=] {
         MessageQueueLock::Node n;
-        *got_retry = !lock->lock(n);
+        *got_retry = lock->acquire(n) == MessageQueueLock::Outcome::kInvalid;
     });
     m.run();
     EXPECT_TRUE(*got_retry);
@@ -81,24 +83,27 @@ TEST(MessageQueueLockTest, InvalidLockRepliesRetry)
 
 TEST(MessageQueueLockTest, GrantCarriesQueueDepthHint)
 {
+    // The hint is the Outcome the reactive lock reads: a grant with no
+    // other waiter queued is kAcquiredEmpty.
+    using O = MessageQueueLock::Outcome;
     sim::Machine m(3);
-    auto lock = std::make_shared<MessageQueueLock>(0);
+    auto lock = std::make_shared<MessageQueueLock>(true, 0);
     auto hints = std::make_shared<std::vector<bool>>();
     m.spawn(0, [=] {
         MessageQueueLock::Node n;
-        lock->lock(n);
-        hints->push_back(n.queue_was_empty);  // free lock -> "empty"
-        sim::delay(3000);                     // both others queue behind
-        lock->unlock();
+        hints->push_back(lock->acquire(n) == O::kAcquiredEmpty);  // free
+        sim::delay(3000);  // both others queue behind
+        lock->release(n);
     });
     for (std::uint32_t p = 1; p < 3; ++p) {
         m.spawn(p, [=] {
             sim::delay(300 * p);
             MessageQueueLock::Node n;
-            lock->lock(n);
-            hints->push_back(n.queue_was_empty);
+            const O oc = lock->acquire(n);
+            EXPECT_EQ(oc == O::kAcquiredEmpty, n.queue_was_empty);
+            hints->push_back(oc == O::kAcquiredEmpty);
             sim::delay(100);
-            lock->unlock();
+            lock->release(n);
         });
     }
     m.run();
@@ -229,7 +234,8 @@ TEST(ReactiveMessageLockTest, MutualExclusionAndAdaptation)
 {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         sim::Machine m(16, sim::CostModel::alewife(), seed);
-        auto lock = std::make_shared<ReactiveMessageLock>(0);
+        auto lock = std::make_shared<ReactiveMessageLock>(
+            ReactiveLockParams{}, AlwaysSwitchPolicy{}, 0u);
         auto inside = std::make_shared<int>(0);
         auto violations = std::make_shared<int>(0);
         auto count = std::make_shared<long>(0);
@@ -259,7 +265,8 @@ TEST(ReactiveMessageLockTest, MutualExclusionAndAdaptation)
 TEST(ReactiveMessageLockTest, UncontendedStaysSharedMemory)
 {
     sim::Machine m(2);
-    auto lock = std::make_shared<ReactiveMessageLock>(0);
+    auto lock = std::make_shared<ReactiveMessageLock>(
+        ReactiveLockParams{}, AlwaysSwitchPolicy{}, 0u);
     m.spawn(1, [=] {
         for (int i = 0; i < 100; ++i) {
             ReactiveMessageLock::Node n;
@@ -272,6 +279,55 @@ TEST(ReactiveMessageLockTest, UncontendedStaysSharedMemory)
     m.run();
     EXPECT_EQ(lock->protocol_changes(), 0u);
     EXPECT_EQ(lock->mode(), ReactiveMessageLock::Mode::kTts);
+}
+
+/// One round of @p procs processors acquiring @p lock once each at
+/// the same instant and holding it 100 cycles. Each then idles until
+/// its release message has reached the manager: Machine::run() returns
+/// when the processes finish, not when their messages land.
+void reactive_msg_round(ReactiveMessageLock& lock, std::uint32_t procs)
+{
+    sim::Machine m(procs);
+    for (std::uint32_t p = 0; p < procs; ++p) {
+        m.spawn(p, [&lock] {
+            ReactiveMessageLock::Node n;
+            const auto rm = lock.acquire(n);
+            sim::delay(100);
+            lock.release(n, rm);
+            sim::delay(2000);
+        });
+    }
+    m.run();
+}
+
+TEST(ReactiveMessageLockTest, EmptyStreakRestartsOnReentry)
+{
+    // The empty-grant streak that moved the lock msg -> TTS must not
+    // carry over into its next stay in msg mode: the thesis' signal is
+    // 4 consecutive empty grants *in that stay*. With retry limit 0 one
+    // lost test&set race is contended, and three processors arriving
+    // together lose one, so each three-processor round switches
+    // TTS -> msg.
+    ReactiveLockParams params;
+    params.tts_retry_limit = 0;
+    ReactiveMessageLock lock(params, AlwaysSwitchPolicy{}, 0u);
+    using Mode = ReactiveMessageLock::Mode;
+
+    reactive_msg_round(lock, 3);
+    ASSERT_EQ(lock.mode(), Mode::kQueue);
+    ASSERT_EQ(lock.protocol_changes(), 1u);
+    for (int i = 0; i < 4; ++i)
+        reactive_msg_round(lock, 1);  // 4 empty grants: back to TTS
+    ASSERT_EQ(lock.mode(), Mode::kTts);
+    ASSERT_EQ(lock.protocol_changes(), 2u);
+    reactive_msg_round(lock, 3);
+    ASSERT_EQ(lock.mode(), Mode::kQueue);
+    ASSERT_EQ(lock.protocol_changes(), 3u);
+
+    for (int i = 0; i < 3; ++i)
+        reactive_msg_round(lock, 1);
+    EXPECT_EQ(lock.mode(), Mode::kQueue);
+    EXPECT_EQ(lock.protocol_changes(), 3u);
 }
 
 TEST(ReactiveMessageFetchOpTest, LinearizableAcrossProtocolChanges)

@@ -156,6 +156,28 @@ TEST(AlwaysSwitchTest, OnSwitchClearsEmptyStreak)
     EXPECT_TRUE(observe_queue(p, true));
 }
 
+TEST(AlwaysSwitchTest, LaddersOneRungAtATime)
+{
+    // Over three rungs: drift +1 climbs one rung at once, a streak of
+    // drift -1 descends one rung, and an answer past the top rung is
+    // the caller's to clamp.
+    AlwaysSwitchPolicy p(/*low_streak_limit=*/2);
+    EXPECT_EQ(p.next_protocol({0, 0}), 0u);
+    EXPECT_EQ(p.next_protocol({0, -1}), 0u);  // no rung below 0
+    EXPECT_EQ(p.next_protocol({0, +1}), 1u);
+    p.on_switch();
+    EXPECT_EQ(p.next_protocol({1, +1}), 2u);
+    p.on_switch();
+    EXPECT_EQ(p.next_protocol({2, -1}), 2u);
+    EXPECT_EQ(p.next_protocol({2, 0}), 2u);  // break resets
+    EXPECT_EQ(p.next_protocol({2, -1}), 2u);
+    EXPECT_EQ(p.next_protocol({2, -1}), 1u);
+    p.on_switch();
+    EXPECT_EQ(p.next_protocol({1, -1}), 1u);  // streak restarted
+    EXPECT_EQ(p.next_protocol({1, -1}), 0u);
+    EXPECT_EQ(p.next_protocol({2, +1}), 3u);  // past the top: clamped
+}
+
 // ---- the thesis' policies as two-protocol selection policies ----------
 
 TEST(TwoProtocolSelectTest, MapsSignalsToRolesAndFlipsIndex)
@@ -180,9 +202,10 @@ TEST(TwoProtocolSelectTest, MapsSignalsToRolesAndFlipsIndex)
 TEST(TwoProtocolSelectTest, LargerSetsRejectTwoProtocolPolicies)
 {
     // The primitives static_assert SelectPolicyOver<Policy, N>: the
-    // thesis' policies drive two protocols, the ladder policies any N.
+    // thesis' 3-competitive and hysteresis policies drive two
+    // protocols; always-switch and the ladder policies any N.
     static_assert(SelectPolicyOver<AlwaysSwitchPolicy, 2>);
-    static_assert(!SelectPolicyOver<AlwaysSwitchPolicy, 3>);
+    static_assert(SelectPolicyOver<AlwaysSwitchPolicy, 3>);
     static_assert(!SelectPolicyOver<HysteresisPolicy, 3>);
     static_assert(!SelectPolicyOver<CalibratedHysteresisPolicy, 3>);
     static_assert(SelectPolicyOver<LadderCompetitivePolicy, 3>);

@@ -19,10 +19,11 @@ are flagged. CI round-trips the traced fig_regret smoke run through
 this mode.
 
 Exits nonzero on a malformed trace — unparseable JSON, missing keys,
-unknown event types, timestamps out of order in the drained stream, or
-a broken switch chain (an object switching *from* a protocol it was
-never *on*). CI runs this over the traced fig_calibration smoke run
-as the round-trip validation of the whole tracing pipeline.
+unknown event types or object classes, timestamps out of order in the
+drained stream, or a broken switch chain (an object switching *from* a
+protocol it was never *on*). CI runs this over the traced
+fig_calibration smoke run as the round-trip validation of the whole
+tracing pipeline.
 
 If the binary dropped events (ring overflow), a warning is printed
 with the per-class breakdown — the timeline is incomplete, the metric
@@ -53,6 +54,10 @@ KNOWN_TYPES = {
     "wake",
     "wait_mode_switch",
 }
+
+# Object classes, as src/trace/metrics.hpp class_name() writes them
+# into each event's "cat".
+KNOWN_CLASSES = {"lock", "rwlock", "barrier", "cohort", "fetchop"}
 
 # WaitMode encoding (src/waiting/reactive/wait_select.hpp).
 WAIT_MODES = {0: "spin", 1: "two_phase", 2: "park"}
@@ -92,6 +97,8 @@ def validate(doc):
                 raise MalformedTrace(f"event {i}: missing key '{k}'")
         if e["name"] not in KNOWN_TYPES:
             raise MalformedTrace(f"event {i}: unknown type '{e['name']}'")
+        if e["cat"] not in KNOWN_CLASSES:
+            raise MalformedTrace(f"event {i}: unknown class '{e['cat']}'")
         if e["ph"] != "i":
             raise MalformedTrace(f"event {i}: expected instant ph, got "
                                  f"'{e['ph']}'")
